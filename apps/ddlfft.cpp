@@ -45,7 +45,6 @@
 #include "ddl/codelets/codelets.hpp"
 #include "ddl/fft/executor.hpp"
 #include "ddl/fft/fft.hpp"
-#include "ddl/huge/huge.hpp"
 #include "ddl/obs/export.hpp"
 #include "ddl/obs/obs.hpp"
 #include "ddl/plan/grammar.hpp"
@@ -73,14 +72,11 @@ int usage() {
       "  plan      --transform fft|wht --n SIZE [--strategy ddl_dp] [--max-leaf 32]\n"
       "            [--oracle]  plan for a simulated 512KB direct-mapped cache\n"
       "            [--dot]     print the tree as a Graphviz digraph\n"
-      "            [--huge]    force an fs(n1,n2) four-step root (fft only;\n"
-      "            out-of-LLC sizes — docs/HUGE.md)\n"
       "  run       (--tree GRAMMAR | --transform fft|wht --n SIZE [--strategy S])\n"
       "            [--reps 3] [--wht]\n"
       "  profile   (SIZE | --n SIZE | --tree GRAMMAR) [--transform fft|wht]\n"
       "            [--strategy ddl_dp] [--reps 5] [--threads N]\n"
       "            [--trace ddlfft_trace.json] [--bench-json FILE] [--calibrate]\n"
-      "            [--huge]  run through the staged ddl::huge executor (fs tree)\n"
       "            traced run: per-stage summary + chrome://tracing JSON;\n"
       "            --calibrate feeds stage timings into --costdb\n"
       "  simulate  (--tree GRAMMAR | --n SIZE) [--cache 512K] [--line 64]\n"
@@ -201,25 +197,7 @@ int cmd_plan(const cli::Args& args) {
     return 2;
   }
   const auto strategy = parse_strategy(args.get_or("strategy", "ddl_dp"));
-  plan::TreePtr tree;
-  if (args.has("huge")) {
-    if (transform != "fft") {
-      std::cerr << "plan: --huge is FFT-only (four-step is an FFT factorization)\n";
-      return 2;
-    }
-    if (n < plan::kMinFourStepPoints) {
-      std::cerr << "plan: --huge needs --n >= " << plan::kMinFourStepPoints << "\n";
-      return 2;
-    }
-    fft::PlannerOptions opts;
-    opts.cost_db = &stores.cost_db;
-    opts.wisdom = &stores.wisdom;
-    opts.max_leaf = args.size_or("max-leaf", opts.max_leaf);
-    fft::FftPlanner planner(opts);
-    tree = planner.plan_huge(n);
-  } else {
-    tree = plan_tree(args, stores, transform, n, strategy);
-  }
+  const plan::TreePtr tree = plan_tree(args, stores, transform, n, strategy);
   std::cout << transform << " " << fmt_pow2(n) << " " << fft::strategy_name(strategy) << ":\n"
             << "  tree:      " << plan::to_string(*tree) << "\n"
             << "  leaves:    " << plan::leaf_count(*tree) << "\n"
@@ -287,28 +265,9 @@ int cmd_profile(const cli::Args& args) {
       std::cerr << "profile: need a SIZE operand, --n SIZE, or --tree GRAMMAR\n";
       return 2;
     }
-    if (args.has("huge") && !is_wht) {
-      if (n < plan::kMinFourStepPoints) {
-        std::cerr << "profile: --huge needs a size >= " << plan::kMinFourStepPoints << "\n";
-        return 2;
-      }
-      fft::PlannerOptions opts;
-      opts.cost_db = &stores.cost_db;
-      opts.wisdom = &stores.wisdom;
-      fft::FftPlanner planner(opts);
-      strategy_name = "fs_huge";
-      tree = planner.plan_huge(n);
-    } else {
-      const auto strategy = parse_strategy(args.get_or("strategy", "ddl_dp"));
-      strategy_name = fft::strategy_name(strategy);
-      tree = plan_tree(args, stores, is_wht ? "wht" : "fft", n, strategy);
-    }
-  }
-  const bool huge_exec = args.has("huge");
-  if (huge_exec && (is_wht || !tree->fourstep)) {
-    std::cerr << "profile: --huge needs an fft fs(n1,n2) tree (plan --huge, or an fs(...) "
-                 "--tree)\n";
-    return 2;
+    const auto strategy = parse_strategy(args.get_or("strategy", "ddl_dp"));
+    strategy_name = fft::strategy_name(strategy);
+    tree = plan_tree(args, stores, is_wht ? "wht" : "fft", n, strategy);
   }
   if (args.has("threads")) {
     parallel::set_threads(static_cast<int>(args.int_or("threads", 1)));
@@ -334,20 +293,6 @@ int cmd_profile(const cli::Args& args) {
     obs::reset();
     const std::uint64_t t0 = obs::now_ns();
     for (int r = 0; r < reps; ++r) exec.transform(buf.span());
-    wall = static_cast<double>(obs::now_ns() - t0) * 1e-9;
-    obs::enable(false);
-  } else if (huge_exec) {
-    huge::HugeExecutor exec(*tree);
-    AlignedBuffer<cplx> buf(n);
-    for (index_t i = 0; i < n; ++i) {
-      buf.data()[i] = cplx(static_cast<double>(i % 5) - 2.0, static_cast<double>(i % 3) - 1.0);
-    }
-    exec.forward(buf.span());
-    obs::enable(true);
-    exec.forward(buf.span());
-    obs::reset();
-    const std::uint64_t t0 = obs::now_ns();
-    for (int r = 0; r < reps; ++r) exec.forward(buf.span());
     wall = static_cast<double>(obs::now_ns() - t0) * 1e-9;
     obs::enable(false);
   } else {

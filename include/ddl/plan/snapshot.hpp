@@ -18,7 +18,7 @@
 /// Properties:
 ///  * **Byte-deterministic**: both stores iterate in map key order and
 ///    print doubles at round-trip precision, so export → merge → export
-///    reproduces the file byte-for-byte (pinned by tests/test_huge.cpp).
+///    reproduces the file byte-for-byte (pinned by tests/test_plan.cpp).
 ///  * **Fail-closed**: merge_snapshot validates the entire file — header,
 ///    section counts, and every line under the same rules the stores'
 ///    own load() paths enforce (finite non-negative costs, parseable

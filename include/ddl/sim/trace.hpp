@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 
 #include "ddl/cachesim/cache.hpp"
 #include "ddl/common/types.hpp"
@@ -44,19 +45,10 @@ class FftTracer {
 
  private:
   void node(const plan::Node& nd, std::uint64_t base, index_t stride, std::uint64_t arena);
-  void leaf(index_t n, std::uint64_t base, index_t stride);
-  void stockham_leaf(index_t n, std::uint64_t base, index_t stride, std::uint64_t arena);
-  void twiddle_rows(index_t n, index_t n1, index_t n2, std::uint64_t base, index_t stride);
-  void twiddle_cols(index_t n, index_t n1, index_t n2, std::uint64_t scratch);
-  void twiddle_scatter(std::uint64_t data, index_t stride, index_t n1, index_t n2,
-                       std::uint64_t scratch);
-  void transpose_gather(std::uint64_t data, index_t stride, index_t n1, index_t n2,
-                        std::uint64_t scratch);
-  void transpose_scatter(std::uint64_t data, index_t stride, index_t n1, index_t n2,
-                         std::uint64_t scratch);
-  void permute(std::uint64_t base, index_t stride, index_t n, index_t m, std::uint64_t scratch);
 
-  std::uint64_t twiddle_base(index_t n);
+  /// Base of the length-n twiddle table (allocated on first use), or none
+  /// when twiddle traffic is excluded.
+  std::optional<std::uint64_t> twiddle_table(index_t n);
 
   cache::Cache& cache_;
   TraceOptions opts_;
@@ -76,7 +68,6 @@ class WhtTracer {
 
  private:
   void node(const plan::Node& nd, std::uint64_t base, index_t stride, std::uint64_t arena);
-  void leaf(index_t n, std::uint64_t base, index_t stride);
 
   cache::Cache& cache_;
   TraceOptions opts_;
@@ -107,9 +98,10 @@ struct OracleOptions {
 /// A cost function for the planners (PlannerOptions::cost_oracle) that
 /// *simulates* each DP primitive on the modelled cache instead of timing it
 /// on the host: cost = accesses + miss_penalty * misses, per primitive
-/// invocation. Handles every key kind both planners emit ("dft_leaf",
-/// "tw_rows", "tw_cols", "perm", "reorg", "reorg_g", "fused_tws",
-/// "stockham", "wht_leaf", "wht_reorg").
+/// invocation. Each primitive replays the same stage emitter the tracers
+/// use, so the oracle and the tracers cannot drift apart. Handles every key
+/// kind both planners emit ("dft_leaf", "tw_rows", "tw_cols", "perm",
+/// "reorg", "reorg_g", "fused_tws", "stockham", "wht_leaf", "wht_reorg").
 ///
 /// Planning with this oracle reproduces the paper's platform-specific tree
 /// choices (Tables V/VI) on any host: on a simulated direct-mapped cache

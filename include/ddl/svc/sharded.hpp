@@ -28,8 +28,7 @@
 /// Shard counts are validated by verify::verify_shard_config
 /// ([1, verify::kMaxServiceShards]); construction throws on violation,
 /// mirroring TransformService. The CLI front door is
-/// `ddlfft serve --inproc --shards N`. See docs/SERVICE.md and
-/// docs/HUGE.md.
+/// `ddlfft serve --inproc --shards N`. See docs/SERVICE.md.
 
 #include <cstdint>
 #include <future>

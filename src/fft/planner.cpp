@@ -353,7 +353,9 @@ double FftPlanner::stockham_cost(index_t n, index_t stride) {
 // unit-stride columns after a DDL reorganization) once threads are
 // available. Primitive probe costs (twiddle/perm/reorg) are NOT discounted:
 // those routines parallelize internally, so the probes already time them as
-// executed. Costs are memoized per planner, so change the thread count
+// executed. A cost oracle models its own machine (the simulated one is the
+// paper's uniprocessor), so oracle planning counts one thread whatever the
+// host has. Costs are memoized per planner, so change the thread count
 // before planning, not between plans.
 // ---------------------------------------------------------------------------
 
@@ -363,12 +365,16 @@ namespace {
 /// node of `node_n` points: 1 below the executor's fan-out cutoff, else the
 /// usable lane count discounted for dispatch overhead and shared memory
 /// bandwidth (ideal scaling is never reached in practice).
-double fanout_workers(index_t node_n, index_t items) {
-  const int threads = parallel::max_threads();
+double fanout_workers(int threads, index_t node_n, index_t items) {
   if (threads <= 1 || node_n < parallel::kMinParallelNode) return 1.0;
   const double lanes = std::min<double>(threads, static_cast<double>(items));
   constexpr double kEfficiency = 0.85;
   return 1.0 + kEfficiency * (lanes - 1.0);
+}
+
+/// Threads the DP plans for: the pool's lanes, or one under a cost oracle.
+int planning_threads(const PlannerOptions& opts) {
+  return opts.cost_oracle ? 1 : parallel::max_threads();
 }
 
 }  // namespace
@@ -404,14 +410,16 @@ const FftPlanner::Best& FftPlanner::best(index_t n, index_t stride, bool allow_d
   // Option 2: split n = n1 * n2 (left x right), static or dynamic layout.
   // The symbolic prefilter (when enabled) drops splits whose predicted
   // node-local L2 traffic is hopeless before any probe or recursion runs.
+  const int threads = planning_threads(opts_);
   for (const auto& [n1, n2] : prefilter_splits(n, stride, allow_ddl, candidate_splits(n))) {
     const Best& right = best(n2, stride, allow_ddl);
-    const double shared = static_cast<double>(n1) * right.cost / fanout_workers(n, n1) +
-                          perm_cost(n, n2, stride);
+    const double shared =
+        static_cast<double>(n1) * right.cost / fanout_workers(threads, n, n1) +
+        perm_cost(n, n2, stride);
 
     {
       const Best& left = best(n1, stride * n2, allow_ddl);
-      const double cost = static_cast<double>(n2) * left.cost / fanout_workers(n, n2) +
+      const double cost = static_cast<double>(n2) * left.cost / fanout_workers(threads, n, n2) +
                           twiddle_cost(n, n2, stride) + shared;
       if (cost < winner.cost) {
         winner.cost = cost;
@@ -421,7 +429,8 @@ const FftPlanner::Best& FftPlanner::best(index_t n, index_t stride, bool allow_d
 
     if (allow_ddl && stride * n2 > 1) {
       const Best& left = best(n1, 1, allow_ddl);
-      const double left_term = static_cast<double>(n2) * left.cost / fanout_workers(n, n2);
+      const double left_term =
+          static_cast<double>(n2) * left.cost / fanout_workers(threads, n, n2);
       // Two-pass ddl: reorg round trip plus a separate scratch twiddle pass.
       double cost = reorg_cost(n1, n2, stride) + left_term + twiddle_cost(n, n2, 0) + shared;
       bool fused = false;
@@ -439,16 +448,6 @@ const FftPlanner::Best& FftPlanner::best(index_t n, index_t stride, bool allow_d
         winner.cost = cost;
         winner.tree =
             plan::make_split(plan::clone(*left.tree), plan::clone(*right.tree), true, fused);
-        // Four-step marking: at unit stride past the out-of-LLC threshold, a
-        // winning fused split is the six-step pipeline already — mark it fs
-        // so execution routes through ddl::huge. Same cost, same per-element
-        // math; the flag is set directly because eligibility mirrors the
-        // make_fourstep_split geometry checks.
-        if (fused && opts_.enable_fourstep && stride == 1 &&
-            n >= std::max(opts_.fourstep_min_points, plan::kMinFourStepPoints) && n1 >= 2 &&
-            n2 >= 2 && std::max(n1, n2) <= plan::kMaxFourStepAspect * std::min(n1, n2)) {
-          winner.tree->fourstep = true;
-        }
       }
     }
   }
@@ -495,43 +494,6 @@ plan::TreePtr FftPlanner::plan(index_t n, Strategy strategy) {
   return tree;
 }
 
-plan::TreePtr FftPlanner::plan_huge(index_t n) {
-  DDL_REQUIRE(n >= plan::kMinFourStepPoints, "huge plan needs n >= kMinFourStepPoints");
-  if (opts_.wisdom != nullptr) {
-    if (auto hit = opts_.wisdom->recall("fft", "huge", n)) {
-      return plan::parse_tree(hit->tree);
-    }
-  }
-
-  // Pick the factor pair minimizing the same DP terms best() charges a
-  // fused-ddl split, restricted to fs-legal geometries. Children come from
-  // the regular DP (ddl allowed below the root as usual).
-  double best_cost = std::numeric_limits<double>::infinity();
-  index_t best_n1 = 0;
-  index_t best_n2 = 0;
-  for (const auto& [n1, n2] : candidate_splits(n)) {
-    if (n1 < 2 || n2 < 2) continue;
-    if (std::max(n1, n2) > plan::kMaxFourStepAspect * std::min(n1, n2)) continue;
-    const double cost = reorg_gather_cost(n1, n2, 1) +
-                        static_cast<double>(n2) * best(n1, 1, true).cost / fanout_workers(n, n2) +
-                        fused_cost(n1, n2, 1) +
-                        static_cast<double>(n1) * best(n2, 1, true).cost / fanout_workers(n, n1) +
-                        perm_cost(n, n2, 1);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_n1 = n1;
-      best_n2 = n2;
-    }
-  }
-  DDL_REQUIRE(best_n1 != 0, "no aspect-legal four-step factorization exists for this size");
-  plan::TreePtr tree = plan::make_fourstep_split(plan::clone(*best(best_n1, 1, true).tree),
-                                                 plan::clone(*best(best_n2, 1, true).tree));
-  if (opts_.wisdom != nullptr) {
-    opts_.wisdom->remember("fft", "huge", n, {plan::to_string(*tree), best_cost});
-  }
-  return tree;
-}
-
 void FftPlanner::invalidate() {
   // Memo entries computed from stale synthetic costs must not shadow newly
   // ingested calibrated ones; the CostDb itself is left intact. The cost
@@ -563,12 +525,13 @@ double FftPlanner::estimate_tree_seconds(const plan::Node& tree, index_t root_st
   const index_t n2 = tree.right->n;
   // Same thread-count-aware loop terms as the DP in best(): the two must
   // agree or planned_cost and estimate_tree_seconds drift apart.
+  const int threads = planning_threads(opts_);
   const double right = static_cast<double>(n1) * estimate_tree_seconds(*tree.right, root_stride) /
-                       fanout_workers(n, n1);
+                       fanout_workers(threads, n, n1);
   const double perm = perm_cost(n, n2, root_stride);
   if (tree.ddl) {
     const double left = static_cast<double>(n2) * estimate_tree_seconds(*tree.left, 1) /
-                        fanout_workers(n, n2);
+                        fanout_workers(threads, n, n2);
     if (tree.fused) {
       return reorg_gather_cost(n1, n2, root_stride) + left + fused_cost(n1, n2, root_stride) +
              right + perm;
@@ -576,7 +539,7 @@ double FftPlanner::estimate_tree_seconds(const plan::Node& tree, index_t root_st
     return reorg_cost(n1, n2, root_stride) + left + twiddle_cost(n, n2, 0) + right + perm;
   }
   return static_cast<double>(n2) * estimate_tree_seconds(*tree.left, root_stride * n2) /
-             fanout_workers(n, n2) +
+             fanout_workers(threads, n, n2) +
          twiddle_cost(n, n2, root_stride) + right + perm;
 }
 

@@ -129,9 +129,6 @@ const char* stage_name(Stage stage) noexcept {
     case Stage::stream_fdl: return "stream_fdl";
     case Stage::stream_ola: return "stream_ola";
     case Stage::svc_tenant_batch: return "svc_tenant_batch";
-    case Stage::huge_transpose: return "huge_transpose";
-    case Stage::huge_cols: return "huge_cols";
-    case Stage::huge_rows: return "huge_rows";
     case Stage::count_: break;
   }
   return "unknown";

@@ -1,6 +1,7 @@
 #include "ddl/sim/trace.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "ddl/common/check.hpp"
@@ -9,6 +10,162 @@
 namespace ddl::sim {
 
 using layout::kTile;
+
+namespace {
+
+using u64 = std::uint64_t;
+
+// ---------------------------------------------------------------------------
+// Stage emitters: the one address description of each executor stage. The
+// tracers place them in a whole-tree address space; the cost oracle places
+// each alone in a fresh cache. Addresses are explicit byte bases, `eb` is
+// the element size, and a twiddle table is read only when `tw` is set.
+// ---------------------------------------------------------------------------
+
+/// Codelet leaf: load every point, compute in registers, store every point.
+void emit_leaf(cache::Cache& c, u64 base, index_t n, index_t stride, u64 eb) {
+  for (index_t i = 0; i < n; ++i) c.access(base + static_cast<u64>(i) * stride * eb, false);
+  for (index_t i = 0; i < n; ++i) c.access(base + static_cast<u64>(i) * stride * eb, true);
+}
+
+/// Stockham leaf (FftExecutor::run_stockham): strided leaves pack into the
+/// arena and ping-pong within it; unit-stride leaves ping-pong data <-> arena.
+void emit_stockham(cache::Cache& c, u64 base, index_t n, index_t stride, u64 arena, u64 eb,
+                   std::optional<u64> tw) {
+  u64 src = base;
+  u64 dst = arena;
+  if (stride > 1) {
+    for (index_t i = 0; i < n; ++i) {
+      c.access(base + static_cast<u64>(i) * stride * eb, false);
+      c.access(arena + static_cast<u64>(i) * eb, true);
+    }
+    src = arena;
+    dst = arena + static_cast<u64>(n) * eb;
+  }
+  const u64 home = src;
+  index_t half = n / 2;
+  index_t s = 1;
+  index_t tstep = 1;
+  while (half >= 1) {
+    for (index_t p = 0; p < half; ++p) {
+      if (tw) c.access(*tw + static_cast<u64>(p * tstep) * eb, false);
+      for (index_t q = 0; q < s; ++q) {
+        c.access(src + static_cast<u64>(s * p + q) * eb, false);
+        c.access(src + static_cast<u64>(s * (p + half) + q) * eb, false);
+        c.access(dst + static_cast<u64>(2 * s * p + q) * eb, true);
+        c.access(dst + static_cast<u64>(s * (2 * p + 1) + q) * eb, true);
+      }
+    }
+    std::swap(src, dst);
+    half /= 2;
+    s *= 2;
+    tstep *= 2;
+  }
+  if (src != home) {
+    for (index_t i = 0; i < n; ++i) {
+      c.access(src + static_cast<u64>(i) * eb, false);
+      c.access(home + static_cast<u64>(i) * eb, true);
+    }
+  }
+  if (stride > 1) {
+    for (index_t i = 0; i < n; ++i) {
+      c.access(arena + static_cast<u64>(i) * eb, false);
+      c.access(base + static_cast<u64>(i) * stride * eb, true);
+    }
+  }
+}
+
+/// Twiddle pass over the strided rows of an n1 x n2 static split.
+void emit_twiddle_rows(cache::Cache& c, u64 base, index_t n1, index_t n2, index_t stride, u64 eb,
+                       std::optional<u64> tw) {
+  const index_t n = n1 * n2;
+  for (index_t i = 1; i < n1; ++i) {
+    const u64 row = base + static_cast<u64>(i) * n2 * stride * eb;
+    index_t idx = 0;
+    for (index_t j = 1; j < n2; ++j) {
+      idx += i;
+      if (idx >= n) idx -= n;
+      if (tw) c.access(*tw + static_cast<u64>(idx) * eb, false);
+      const u64 addr = row + static_cast<u64>(j) * stride * eb;
+      c.access(addr, false);
+      c.access(addr, true);
+    }
+  }
+}
+
+/// Twiddle pass over the packed columns of a two-pass ddl split.
+void emit_twiddle_cols(cache::Cache& c, u64 scratch, index_t n1, index_t n2, u64 eb,
+                       std::optional<u64> tw) {
+  const index_t n = n1 * n2;
+  for (index_t j = 1; j < n2; ++j) {
+    const u64 col = scratch + static_cast<u64>(j) * n1 * eb;
+    index_t idx = 0;
+    for (index_t i = 1; i < n1; ++i) {
+      idx += j;
+      if (idx >= n) idx -= n;
+      if (tw) c.access(*tw + static_cast<u64>(idx) * eb, false);
+      const u64 addr = col + static_cast<u64>(i) * eb;
+      c.access(addr, false);
+      c.access(addr, true);
+    }
+  }
+}
+
+/// Fused ctddlf sweep, one column at a time: unit-stride scratch reads,
+/// twiddle-table reads, strided comb writes.
+void emit_twiddle_scatter(cache::Cache& c, u64 data, index_t stride, index_t n1, index_t n2,
+                          u64 scratch, u64 eb, std::optional<u64> tw) {
+  const index_t n = n1 * n2;
+  for (index_t j = 0; j < n2; ++j) {
+    const u64 col = scratch + static_cast<u64>(j) * n1 * eb;
+    const u64 dst = data + static_cast<u64>(j) * stride * eb;
+    index_t idx = 0;
+    for (index_t i = 0; i < n1; ++i) {
+      c.access(col + static_cast<u64>(i) * eb, false);
+      if (j > 0 && i > 0) {
+        idx += j;
+        if (idx >= n) idx -= n;
+        if (tw) c.access(*tw + static_cast<u64>(idx) * eb, false);
+      }
+      c.access(dst + static_cast<u64>(i) * n2 * stride * eb, true);
+    }
+  }
+}
+
+/// layout::transpose_gather (to_scratch) or transpose_scatter between the
+/// strided n1 x n2 node at `data` and its packed copy at `scratch`, in the
+/// layout routines' 16x16 tile order.
+void emit_transpose(cache::Cache& c, u64 data, index_t stride, index_t n1, index_t n2,
+                    u64 scratch, u64 eb, bool to_scratch) {
+  for (index_t jb = 0; jb < n2; jb += kTile) {
+    const index_t je = std::min(jb + kTile, n2);
+    for (index_t ib = 0; ib < n1; ib += kTile) {
+      const index_t ie = std::min(ib + kTile, n1);
+      for (index_t j = jb; j < je; ++j) {
+        const u64 packed = scratch + static_cast<u64>(j) * n1 * eb;
+        const u64 strided = data + static_cast<u64>(j) * stride * eb;
+        for (index_t i = ib; i < ie; ++i) {
+          const u64 p = packed + static_cast<u64>(i) * eb;
+          const u64 q = strided + static_cast<u64>(i) * n2 * stride * eb;
+          c.access(to_scratch ? q : p, false);
+          c.access(to_scratch ? p : q, true);
+        }
+      }
+    }
+  }
+}
+
+/// layout::stride_permute_inplace: transpose_gather(n/m, m) + linear unpack.
+void emit_permute(cache::Cache& c, u64 base, index_t stride, index_t n, index_t m, u64 scratch,
+                  u64 eb) {
+  emit_transpose(c, base, stride, n / m, m, scratch, eb, /*to_scratch=*/true);
+  for (index_t k = 0; k < n; ++k) {
+    c.access(scratch + static_cast<u64>(k) * eb, false);
+    c.access(base + static_cast<u64>(k) * stride * eb, true);
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // FftTracer
@@ -28,7 +185,8 @@ void FftTracer::run(const plan::Node& tree) {
   node(tree, data_base_, 1, arena_base_);
 }
 
-std::uint64_t FftTracer::twiddle_base(index_t n) {
+std::optional<std::uint64_t> FftTracer::twiddle_table(index_t n) {
+  if (!opts_.include_twiddles) return std::nullopt;
   auto it = twiddle_regions_.find(n);
   if (it != twiddle_regions_.end()) return it->second;
   const std::uint64_t base = next_region_;
@@ -41,222 +199,43 @@ std::uint64_t FftTracer::twiddle_base(index_t n) {
 
 void FftTracer::node(const plan::Node& nd, std::uint64_t base, index_t stride,
                      std::uint64_t arena) {
+  const std::uint64_t eb = opts_.elem_bytes;
   if (nd.is_leaf()) {
     if (nd.stockham) {
-      stockham_leaf(nd.n, base, stride, arena);
+      emit_stockham(cache_, base, nd.n, stride, arena, eb, twiddle_table(nd.n));
     } else {
-      leaf(nd.n, base, stride);
+      emit_leaf(cache_, base, nd.n, stride, eb);
     }
     return;
   }
   const index_t n = nd.n;
   const index_t n1 = nd.left->n;
   const index_t n2 = nd.right->n;
-  const std::uint64_t eb = opts_.elem_bytes;
 
   if (nd.ddl) {
-    transpose_gather(base, stride, n1, n2, arena);
+    emit_transpose(cache_, base, stride, n1, n2, arena, eb, /*to_scratch=*/true);
     const std::uint64_t child_arena = arena + static_cast<std::uint64_t>(n) * eb;
     for (index_t j = 0; j < n2; ++j) {
       node(*nd.left, arena + static_cast<std::uint64_t>(j) * n1 * eb, 1, child_arena);
     }
     if (nd.fused) {
-      twiddle_scatter(base, stride, n1, n2, arena);
+      emit_twiddle_scatter(cache_, base, stride, n1, n2, arena, eb, twiddle_table(n));
     } else {
-      twiddle_cols(n, n1, n2, arena);
-      transpose_scatter(base, stride, n1, n2, arena);
+      emit_twiddle_cols(cache_, arena, n1, n2, eb, twiddle_table(n));
+      emit_transpose(cache_, base, stride, n1, n2, arena, eb, /*to_scratch=*/false);
     }
   } else {
     for (index_t j = 0; j < n2; ++j) {
       node(*nd.left, base + static_cast<std::uint64_t>(j) * stride * eb, stride * n2, arena);
     }
-    twiddle_rows(n, n1, n2, base, stride);
+    emit_twiddle_rows(cache_, base, n1, n2, stride, eb, twiddle_table(n));
   }
 
   for (index_t i = 0; i < n1; ++i) {
     node(*nd.right, base + static_cast<std::uint64_t>(i) * n2 * stride * eb, stride, arena);
   }
 
-  permute(base, stride, n, n2, arena);
-}
-
-void FftTracer::leaf(index_t n, std::uint64_t base, index_t stride) {
-  // Codelets load every point, compute in registers, then store every point.
-  const std::uint64_t eb = opts_.elem_bytes;
-  for (index_t i = 0; i < n; ++i) {
-    cache_.access(base + static_cast<std::uint64_t>(i) * stride * eb, /*is_write=*/false);
-  }
-  for (index_t i = 0; i < n; ++i) {
-    cache_.access(base + static_cast<std::uint64_t>(i) * stride * eb, /*is_write=*/true);
-  }
-}
-
-void FftTracer::stockham_leaf(index_t n, std::uint64_t base, index_t stride,
-                              std::uint64_t arena) {
-  // Mirrors FftExecutor::run_stockham: strided leaves pack into the arena
-  // and ping-pong within it; unit-stride leaves ping-pong data <-> arena.
-  const std::uint64_t eb = opts_.elem_bytes;
-  const std::uint64_t tw = opts_.include_twiddles ? twiddle_base(n) : 0;
-  std::uint64_t src, dst;
-  if (stride > 1) {
-    for (index_t i = 0; i < n; ++i) {
-      cache_.access(base + static_cast<std::uint64_t>(i) * stride * eb, false);
-      cache_.access(arena + static_cast<std::uint64_t>(i) * eb, true);
-    }
-    src = arena;
-    dst = arena + static_cast<std::uint64_t>(n) * eb;
-  } else {
-    src = base;
-    dst = arena;
-  }
-  const std::uint64_t home = src;
-  index_t half = n / 2;
-  index_t s = 1;
-  index_t tstep = 1;
-  while (half >= 1) {
-    for (index_t p = 0; p < half; ++p) {
-      if (opts_.include_twiddles) {
-        cache_.access(tw + static_cast<std::uint64_t>(p * tstep) * eb, false);
-      }
-      for (index_t q = 0; q < s; ++q) {
-        cache_.access(src + static_cast<std::uint64_t>(s * p + q) * eb, false);
-        cache_.access(src + static_cast<std::uint64_t>(s * (p + half) + q) * eb, false);
-        cache_.access(dst + static_cast<std::uint64_t>(2 * s * p + q) * eb, true);
-        cache_.access(dst + static_cast<std::uint64_t>(s * (2 * p + 1) + q) * eb, true);
-      }
-    }
-    std::swap(src, dst);
-    half /= 2;
-    s *= 2;
-    tstep *= 2;
-  }
-  if (src != home) {
-    for (index_t i = 0; i < n; ++i) {
-      cache_.access(src + static_cast<std::uint64_t>(i) * eb, false);
-      cache_.access(home + static_cast<std::uint64_t>(i) * eb, true);
-    }
-  }
-  if (stride > 1) {
-    for (index_t i = 0; i < n; ++i) {
-      cache_.access(arena + static_cast<std::uint64_t>(i) * eb, false);
-      cache_.access(base + static_cast<std::uint64_t>(i) * stride * eb, true);
-    }
-  }
-}
-
-void FftTracer::twiddle_rows(index_t n, index_t n1, index_t n2, std::uint64_t base,
-                             index_t stride) {
-  const std::uint64_t eb = opts_.elem_bytes;
-  const std::uint64_t tw = opts_.include_twiddles ? twiddle_base(n) : 0;
-  index_t idx = 0;
-  for (index_t i = 1; i < n1; ++i) {
-    const std::uint64_t row = base + static_cast<std::uint64_t>(i) * n2 * stride * eb;
-    idx = 0;
-    for (index_t j = 1; j < n2; ++j) {
-      idx += i;
-      if (idx >= n) idx -= n;
-      if (opts_.include_twiddles) {
-        cache_.access(tw + static_cast<std::uint64_t>(idx) * eb, /*is_write=*/false);
-      }
-      const std::uint64_t addr = row + static_cast<std::uint64_t>(j) * stride * eb;
-      cache_.access(addr, /*is_write=*/false);
-      cache_.access(addr, /*is_write=*/true);
-    }
-  }
-}
-
-void FftTracer::twiddle_cols(index_t n, index_t n1, index_t n2, std::uint64_t scratch) {
-  const std::uint64_t eb = opts_.elem_bytes;
-  const std::uint64_t tw = opts_.include_twiddles ? twiddle_base(n) : 0;
-  for (index_t j = 1; j < n2; ++j) {
-    const std::uint64_t col = scratch + static_cast<std::uint64_t>(j) * n1 * eb;
-    index_t idx = 0;
-    for (index_t i = 1; i < n1; ++i) {
-      idx += j;
-      if (idx >= n) idx -= n;
-      if (opts_.include_twiddles) {
-        cache_.access(tw + static_cast<std::uint64_t>(idx) * eb, /*is_write=*/false);
-      }
-      const std::uint64_t addr = col + static_cast<std::uint64_t>(i) * eb;
-      cache_.access(addr, /*is_write=*/false);
-      cache_.access(addr, /*is_write=*/true);
-    }
-  }
-}
-
-void FftTracer::twiddle_scatter(std::uint64_t data, index_t stride, index_t n1, index_t n2,
-                                std::uint64_t scratch) {
-  // One sweep per column: unit-stride scratch reads, twiddle-table reads,
-  // strided comb writes — the fused ctddlf pass's access order.
-  const index_t n = n1 * n2;
-  const std::uint64_t eb = opts_.elem_bytes;
-  const std::uint64_t tw = opts_.include_twiddles ? twiddle_base(n) : 0;
-  for (index_t j = 0; j < n2; ++j) {
-    const std::uint64_t col = scratch + static_cast<std::uint64_t>(j) * n1 * eb;
-    const std::uint64_t dst = data + static_cast<std::uint64_t>(j) * stride * eb;
-    index_t idx = 0;
-    for (index_t i = 0; i < n1; ++i) {
-      cache_.access(col + static_cast<std::uint64_t>(i) * eb, false);
-      if (j > 0 && i > 0) {
-        idx += j;
-        if (idx >= n) idx -= n;
-        if (opts_.include_twiddles) {
-          cache_.access(tw + static_cast<std::uint64_t>(idx) * eb, false);
-        }
-      }
-      cache_.access(dst + static_cast<std::uint64_t>(i) * n2 * stride * eb, true);
-    }
-  }
-}
-
-void FftTracer::transpose_gather(std::uint64_t data, index_t stride, index_t n1, index_t n2,
-                                 std::uint64_t scratch) {
-  // Mirrors layout::transpose_gather's 16x16 tiling exactly.
-  const std::uint64_t eb = opts_.elem_bytes;
-  for (index_t jb = 0; jb < n2; jb += kTile) {
-    const index_t je = std::min(jb + kTile, n2);
-    for (index_t ib = 0; ib < n1; ib += kTile) {
-      const index_t ie = std::min(ib + kTile, n1);
-      for (index_t j = jb; j < je; ++j) {
-        const std::uint64_t dst = scratch + static_cast<std::uint64_t>(j) * n1 * eb;
-        const std::uint64_t src = data + static_cast<std::uint64_t>(j) * stride * eb;
-        for (index_t i = ib; i < ie; ++i) {
-          cache_.access(src + static_cast<std::uint64_t>(i) * n2 * stride * eb, false);
-          cache_.access(dst + static_cast<std::uint64_t>(i) * eb, true);
-        }
-      }
-    }
-  }
-}
-
-void FftTracer::transpose_scatter(std::uint64_t data, index_t stride, index_t n1, index_t n2,
-                                  std::uint64_t scratch) {
-  const std::uint64_t eb = opts_.elem_bytes;
-  for (index_t jb = 0; jb < n2; jb += kTile) {
-    const index_t je = std::min(jb + kTile, n2);
-    for (index_t ib = 0; ib < n1; ib += kTile) {
-      const index_t ie = std::min(ib + kTile, n1);
-      for (index_t j = jb; j < je; ++j) {
-        const std::uint64_t src = scratch + static_cast<std::uint64_t>(j) * n1 * eb;
-        const std::uint64_t dst = data + static_cast<std::uint64_t>(j) * stride * eb;
-        for (index_t i = ib; i < ie; ++i) {
-          cache_.access(src + static_cast<std::uint64_t>(i) * eb, false);
-          cache_.access(dst + static_cast<std::uint64_t>(i) * n2 * stride * eb, true);
-        }
-      }
-    }
-  }
-}
-
-void FftTracer::permute(std::uint64_t base, index_t stride, index_t n, index_t m,
-                        std::uint64_t scratch) {
-  // layout::stride_permute_inplace = transpose_gather(n/m, m) + linear unpack.
-  transpose_gather(base, stride, n / m, m, scratch);
-  const std::uint64_t eb = opts_.elem_bytes;
-  for (index_t k = 0; k < n; ++k) {
-    cache_.access(scratch + static_cast<std::uint64_t>(k) * eb, false);
-    cache_.access(base + static_cast<std::uint64_t>(k) * stride * eb, true);
-  }
+  emit_permute(cache_, base, stride, n, n2, arena, eb);
 }
 
 // ---------------------------------------------------------------------------
@@ -276,67 +255,30 @@ void WhtTracer::run(const plan::Node& tree) {
 
 void WhtTracer::node(const plan::Node& nd, std::uint64_t base, index_t stride,
                      std::uint64_t arena) {
+  const std::uint64_t eb = opts_.elem_bytes;
   if (nd.is_leaf()) {
-    leaf(nd.n, base, stride);
+    emit_leaf(cache_, base, nd.n, stride, eb);
     return;
   }
   const index_t n = nd.n;
   const index_t n1 = nd.left->n;
   const index_t n2 = nd.right->n;
-  const std::uint64_t eb = opts_.elem_bytes;
 
   for (index_t i = 0; i < n1; ++i) {
     node(*nd.right, base + static_cast<std::uint64_t>(i) * n2 * stride * eb, stride, arena);
   }
 
   if (nd.ddl) {
-    // Same tiled transpose pattern as the FFT tracer.
-    for (index_t jb = 0; jb < n2; jb += kTile) {
-      const index_t je = std::min(jb + kTile, n2);
-      for (index_t ib = 0; ib < n1; ib += kTile) {
-        const index_t ie = std::min(ib + kTile, n1);
-        for (index_t j = jb; j < je; ++j) {
-          const std::uint64_t dst = arena + static_cast<std::uint64_t>(j) * n1 * eb;
-          const std::uint64_t src = base + static_cast<std::uint64_t>(j) * stride * eb;
-          for (index_t i = ib; i < ie; ++i) {
-            cache_.access(src + static_cast<std::uint64_t>(i) * n2 * stride * eb, false);
-            cache_.access(dst + static_cast<std::uint64_t>(i) * eb, true);
-          }
-        }
-      }
-    }
+    emit_transpose(cache_, base, stride, n1, n2, arena, eb, /*to_scratch=*/true);
     const std::uint64_t child_arena = arena + static_cast<std::uint64_t>(n) * eb;
     for (index_t j = 0; j < n2; ++j) {
       node(*nd.left, arena + static_cast<std::uint64_t>(j) * n1 * eb, 1, child_arena);
     }
-    for (index_t jb = 0; jb < n2; jb += kTile) {
-      const index_t je = std::min(jb + kTile, n2);
-      for (index_t ib = 0; ib < n1; ib += kTile) {
-        const index_t ie = std::min(ib + kTile, n1);
-        for (index_t j = jb; j < je; ++j) {
-          const std::uint64_t src = arena + static_cast<std::uint64_t>(j) * n1 * eb;
-          const std::uint64_t dst = base + static_cast<std::uint64_t>(j) * stride * eb;
-          for (index_t i = ib; i < ie; ++i) {
-            cache_.access(src + static_cast<std::uint64_t>(i) * eb, false);
-            cache_.access(dst + static_cast<std::uint64_t>(i) * n2 * stride * eb, true);
-          }
-        }
-      }
-    }
+    emit_transpose(cache_, base, stride, n1, n2, arena, eb, /*to_scratch=*/false);
   } else {
     for (index_t j = 0; j < n2; ++j) {
       node(*nd.left, base + static_cast<std::uint64_t>(j) * stride * eb, stride * n2, arena);
     }
-  }
-}
-
-void WhtTracer::leaf(index_t n, std::uint64_t base, index_t stride) {
-  const std::uint64_t eb = opts_.elem_bytes;
-  for (index_t i = 0; i < n; ++i) {
-    cache_.access(base + static_cast<std::uint64_t>(i) * stride * eb, false);
-  }
-  for (index_t i = 0; i < n; ++i) {
-    cache_.access(base + static_cast<std::uint64_t>(i) * stride * eb, true);
   }
 }
 
@@ -351,14 +293,8 @@ void replay_pass(const verify::cachepred::AccessPass& pass, cache::Cache& l1, ca
 void simulate_leaf_sweep(cache::Cache& cache, index_t n, index_t stride, index_t count,
                          std::size_t elem_bytes) {
   DDL_REQUIRE(n >= 1 && stride >= 1 && count >= 1, "bad leaf sweep parameters");
-  for (index_t c = 0; c < count; ++c) {
-    const std::uint64_t base = static_cast<std::uint64_t>(c) * elem_bytes;
-    for (index_t i = 0; i < n; ++i) {
-      cache.access(base + static_cast<std::uint64_t>(i) * stride * elem_bytes, false);
-    }
-    for (index_t i = 0; i < n; ++i) {
-      cache.access(base + static_cast<std::uint64_t>(i) * stride * elem_bytes, true);
-    }
+  for (index_t k = 0; k < count; ++k) {
+    emit_leaf(cache, static_cast<u64>(k) * elem_bytes, n, stride, elem_bytes);
   }
 }
 
@@ -366,220 +302,50 @@ void simulate_leaf_sweep(cache::Cache& cache, index_t n, index_t stride, index_t
 // Simulated cost oracle
 // ---------------------------------------------------------------------------
 
-namespace {
-
-double cost_of(const cache::Cache& cache, double miss_penalty) {
-  const auto& s = cache.stats();
-  return static_cast<double>(s.accesses) + miss_penalty * static_cast<double>(s.misses);
-}
-
-/// Leaf sweep mirroring the wall-clock probe: consecutive base offsets for
-/// strided leaves, consecutive blocks for unit-stride leaves.
-double leaf_cost_sim(const OracleOptions& opts, index_t n, index_t stride,
-                     std::size_t elem_bytes) {
-  cache::Cache cache(opts.cache);
-  const index_t count = opts.sweep_count;
-  if (stride > 1) {
-    simulate_leaf_sweep(cache, n, stride, count, elem_bytes);
-  } else {
-    for (index_t c = 0; c < count; ++c) {
-      const std::uint64_t base = static_cast<std::uint64_t>(c * n) * elem_bytes;
-      for (index_t i = 0; i < n; ++i) cache.access(base + static_cast<std::uint64_t>(i) * elem_bytes, false);
-      for (index_t i = 0; i < n; ++i) cache.access(base + static_cast<std::uint64_t>(i) * elem_bytes, true);
-    }
-  }
-  return cost_of(cache, opts.miss_penalty) / static_cast<double>(count);
-}
-
-/// Twiddle pass over the strided row layout (data at 0, table after it).
-double tw_rows_cost_sim(const OracleOptions& opts, index_t n, index_t n2, index_t stride) {
-  cache::Cache cache(opts.cache);
-  const std::uint64_t eb = sizeof(cplx);
-  const index_t n1 = n / n2;
-  const std::uint64_t tw = static_cast<std::uint64_t>(n * stride) * eb;
-  index_t idx = 0;
-  for (index_t i = 1; i < n1; ++i) {
-    const std::uint64_t row = static_cast<std::uint64_t>(i * n2 * stride) * eb;
-    idx = 0;
-    for (index_t j = 1; j < n2; ++j) {
-      idx += i;
-      if (idx >= n) idx -= n;
-      cache.access(tw + static_cast<std::uint64_t>(idx) * eb, false);
-      const std::uint64_t addr = row + static_cast<std::uint64_t>(j * stride) * eb;
-      cache.access(addr, false);
-      cache.access(addr, true);
-    }
-  }
-  return cost_of(cache, opts.miss_penalty);
-}
-
-double tw_cols_cost_sim(const OracleOptions& opts, index_t n, index_t n2) {
-  cache::Cache cache(opts.cache);
-  const std::uint64_t eb = sizeof(cplx);
-  const index_t n1 = n / n2;
-  const std::uint64_t tw = static_cast<std::uint64_t>(n) * eb;
-  for (index_t j = 1; j < n2; ++j) {
-    const std::uint64_t col = static_cast<std::uint64_t>(j * n1) * eb;
-    index_t idx = 0;
-    for (index_t i = 1; i < n1; ++i) {
-      idx += j;
-      if (idx >= n) idx -= n;
-      cache.access(tw + static_cast<std::uint64_t>(idx) * eb, false);
-      const std::uint64_t addr = col + static_cast<std::uint64_t>(i) * eb;
-      cache.access(addr, false);
-      cache.access(addr, true);
-    }
-  }
-  return cost_of(cache, opts.miss_penalty);
-}
-
-/// Blocked transpose (gather alone with passes == 1, gather + scatter pair
-/// with passes == 2) on a strided n1 x n2 node.
-double reorg_cost_sim(const OracleOptions& opts, index_t n1, index_t n2, index_t stride,
-                      std::size_t elem_bytes, int passes = 2) {
-  cache::Cache cache(opts.cache);
-  const std::uint64_t eb = elem_bytes;
-  const std::uint64_t scratch = static_cast<std::uint64_t>(n1 * n2 * stride) * eb;
-  for (int pass = 0; pass < passes; ++pass) {
-    for (index_t jb = 0; jb < n2; jb += kTile) {
-      const index_t je = std::min(jb + kTile, n2);
-      for (index_t ib = 0; ib < n1; ib += kTile) {
-        const index_t ie = std::min(ib + kTile, n1);
-        for (index_t j = jb; j < je; ++j) {
-          for (index_t i = ib; i < ie; ++i) {
-            const std::uint64_t strided =
-                static_cast<std::uint64_t>((j + i * n2) * stride) * eb;
-            const std::uint64_t packed = scratch + static_cast<std::uint64_t>(j * n1 + i) * eb;
-            cache.access(pass == 0 ? strided : packed, false);
-            cache.access(pass == 0 ? packed : strided, true);
-          }
-        }
-      }
-    }
-  }
-  return cost_of(cache, opts.miss_penalty);
-}
-
-/// Fused twiddle+scatter sweep of a ctddlf node: per column, unit-stride
-/// scratch reads, twiddle reads and strided comb writes (see
-/// FftTracer::twiddle_scatter for the executor-side mirror).
-double fused_tws_cost_sim(const OracleOptions& opts, index_t n1, index_t n2, index_t stride) {
-  cache::Cache cache(opts.cache);
-  const std::uint64_t eb = sizeof(cplx);
-  const index_t n = n1 * n2;
-  const std::uint64_t scratch = static_cast<std::uint64_t>(n * stride) * eb;
-  const std::uint64_t tw = scratch + static_cast<std::uint64_t>(n) * eb;
-  for (index_t j = 0; j < n2; ++j) {
-    const std::uint64_t col = scratch + static_cast<std::uint64_t>(j * n1) * eb;
-    const std::uint64_t dst = static_cast<std::uint64_t>(j * stride) * eb;
-    index_t idx = 0;
-    for (index_t i = 0; i < n1; ++i) {
-      cache.access(col + static_cast<std::uint64_t>(i) * eb, false);
-      if (j > 0 && i > 0) {
-        idx += j;
-        if (idx >= n) idx -= n;
-        cache.access(tw + static_cast<std::uint64_t>(idx) * eb, false);
-      }
-      cache.access(dst + static_cast<std::uint64_t>(i * n2 * stride) * eb, true);
-    }
-  }
-  return cost_of(cache, opts.miss_penalty);
-}
-
-/// Stockham autosort leaf: strided pack/unpack around log2(n) unit-stride
-/// ping-pong butterfly stages (see FftTracer::stockham_leaf).
-double stockham_cost_sim(const OracleOptions& opts, index_t n, index_t stride) {
-  cache::Cache cache(opts.cache);
-  const std::uint64_t eb = sizeof(cplx);
-  const std::uint64_t buf0 = static_cast<std::uint64_t>(n * stride) * eb;
-  const std::uint64_t buf1 = buf0 + static_cast<std::uint64_t>(n) * eb;
-  const std::uint64_t tw = buf1 + static_cast<std::uint64_t>(n) * eb;
-  std::uint64_t src = buf0;
-  std::uint64_t dst = buf1;
-  if (stride > 1) {
-    for (index_t i = 0; i < n; ++i) {
-      cache.access(static_cast<std::uint64_t>(i * stride) * eb, false);
-      cache.access(buf0 + static_cast<std::uint64_t>(i) * eb, true);
-    }
-  } else {
-    src = 0;  // unit stride runs directly on the data array
-    dst = buf0;
-  }
-  const std::uint64_t home = src;
-  index_t half = n / 2;
-  index_t s = 1;
-  index_t tstep = 1;
-  while (half >= 1) {
-    for (index_t p = 0; p < half; ++p) {
-      cache.access(tw + static_cast<std::uint64_t>(p * tstep) * eb, false);
-      for (index_t q = 0; q < s; ++q) {
-        cache.access(src + static_cast<std::uint64_t>(s * p + q) * eb, false);
-        cache.access(src + static_cast<std::uint64_t>(s * (p + half) + q) * eb, false);
-        cache.access(dst + static_cast<std::uint64_t>(2 * s * p + q) * eb, true);
-        cache.access(dst + static_cast<std::uint64_t>(s * (2 * p + 1) + q) * eb, true);
-      }
-    }
-    std::swap(src, dst);
-    half /= 2;
-    s *= 2;
-    tstep *= 2;
-  }
-  if (src != home) {
-    for (index_t i = 0; i < n; ++i) {
-      cache.access(src + static_cast<std::uint64_t>(i) * eb, false);
-      cache.access(home + static_cast<std::uint64_t>(i) * eb, true);
-    }
-  }
-  if (stride > 1) {
-    for (index_t i = 0; i < n; ++i) {
-      cache.access(buf0 + static_cast<std::uint64_t>(i) * eb, false);
-      cache.access(static_cast<std::uint64_t>(i * stride) * eb, true);
-    }
-  }
-  return cost_of(cache, opts.miss_penalty);
-}
-
-/// Stride permutation: tiled gather + linear unpack.
-double perm_cost_sim(const OracleOptions& opts, index_t n, index_t m, index_t stride) {
-  cache::Cache cache(opts.cache);
-  const std::uint64_t eb = sizeof(cplx);
-  const std::uint64_t scratch = static_cast<std::uint64_t>(n * stride) * eb;
-  const index_t rows = n / m;
-  for (index_t jb = 0; jb < m; jb += kTile) {
-    const index_t je = std::min(jb + kTile, m);
-    for (index_t ib = 0; ib < rows; ib += kTile) {
-      const index_t ie = std::min(ib + kTile, rows);
-      for (index_t j = jb; j < je; ++j) {
-        for (index_t i = ib; i < ie; ++i) {
-          cache.access(static_cast<std::uint64_t>((j + i * m) * stride) * eb, false);
-          cache.access(scratch + static_cast<std::uint64_t>(j * rows + i) * eb, true);
-        }
-      }
-    }
-  }
-  for (index_t k = 0; k < n; ++k) {
-    cache.access(scratch + static_cast<std::uint64_t>(k) * eb, false);
-    cache.access(static_cast<std::uint64_t>(k * stride) * eb, true);
-  }
-  return cost_of(cache, opts.miss_penalty);
-}
-
-}  // namespace
-
 std::function<double(const plan::CostKey&)> simulated_cost_oracle(OracleOptions opts) {
+  // Each primitive runs alone in a fresh cache: data at 0, scratch past the
+  // data's strided extent, the twiddle table past the scratch.
   return [opts](const plan::CostKey& key) -> double {
-    if (key.kind == "dft_leaf") return leaf_cost_sim(opts, key.a, key.b, sizeof(cplx));
-    if (key.kind == "wht_leaf") return leaf_cost_sim(opts, key.a, key.b, sizeof(real_t));
-    if (key.kind == "tw_rows") return tw_rows_cost_sim(opts, key.a, key.b, key.c);
-    if (key.kind == "tw_cols") return tw_cols_cost_sim(opts, key.a, key.b);
-    if (key.kind == "perm") return perm_cost_sim(opts, key.a, key.b, key.c);
-    if (key.kind == "reorg") return reorg_cost_sim(opts, key.a, key.b, key.c, sizeof(cplx));
-    if (key.kind == "reorg_g") return reorg_cost_sim(opts, key.a, key.b, key.c, sizeof(cplx), 1);
-    if (key.kind == "fused_tws") return fused_tws_cost_sim(opts, key.a, key.b, key.c);
-    if (key.kind == "stockham") return stockham_cost_sim(opts, key.a, key.b);
-    if (key.kind == "wht_reorg") return reorg_cost_sim(opts, key.a, key.b, key.c, sizeof(real_t));
-    throw std::invalid_argument("simulated_cost_oracle: unknown primitive kind '" + key.kind +
-                                "'");
+    cache::Cache c(opts.cache);
+    const index_t a = key.a;
+    const index_t b = key.b;
+    const index_t s = key.c;
+    const u64 cx = sizeof(cplx);
+    const u64 re = sizeof(real_t);
+    index_t invocations = 1;
+    if (key.kind == "dft_leaf" || key.kind == "wht_leaf") {  // (n, stride)
+      // Mirrors the wall-clock probe: consecutive base offsets for strided
+      // leaves, consecutive blocks at unit stride; cost is per leaf.
+      const u64 eb = key.kind == "dft_leaf" ? cx : re;
+      invocations = opts.sweep_count;
+      for (index_t k = 0; k < invocations; ++k) {
+        emit_leaf(c, static_cast<u64>(b > 1 ? k : k * a) * eb, a, std::max<index_t>(b, 1), eb);
+      }
+    } else if (key.kind == "tw_rows") {  // (n, n2, stride)
+      emit_twiddle_rows(c, 0, a / b, b, s, cx, static_cast<u64>(a * s) * cx);
+    } else if (key.kind == "tw_cols") {  // (n, n2)
+      emit_twiddle_cols(c, 0, a / b, b, cx, static_cast<u64>(a) * cx);
+    } else if (key.kind == "perm") {  // (n, m, stride)
+      emit_permute(c, 0, s, a, b, static_cast<u64>(a * s) * cx, cx);
+    } else if (key.kind == "reorg" || key.kind == "reorg_g" || key.kind == "wht_reorg") {
+      // (n1, n2, stride): the gather, then the scatter unless gather-only.
+      const u64 eb = key.kind == "wht_reorg" ? re : cx;
+      const u64 scratch = static_cast<u64>(a * b * s) * eb;
+      emit_transpose(c, 0, s, a, b, scratch, eb, /*to_scratch=*/true);
+      if (key.kind != "reorg_g") emit_transpose(c, 0, s, a, b, scratch, eb, /*to_scratch=*/false);
+    } else if (key.kind == "fused_tws") {  // (n1, n2, stride)
+      const u64 scratch = static_cast<u64>(a * b * s) * cx;
+      emit_twiddle_scatter(c, 0, s, a, b, scratch, cx, scratch + static_cast<u64>(a * b) * cx);
+    } else if (key.kind == "stockham") {  // (n, stride): two arena buffers
+      const u64 arena = static_cast<u64>(a * b) * cx;
+      emit_stockham(c, 0, a, b, arena, cx, arena + static_cast<u64>(2 * a) * cx);
+    } else {
+      throw std::invalid_argument("simulated_cost_oracle: unknown primitive kind '" + key.kind +
+                                  "'");
+    }
+    const auto& st = c.stats();
+    return (static_cast<double>(st.accesses) + opts.miss_penalty * static_cast<double>(st.misses)) /
+           static_cast<double>(invocations);
   };
 }
 

@@ -1020,7 +1020,7 @@ AccessPass prim_pass(const char* op, std::vector<index_t> loops, std::vector<Swe
 
 /// Probe-shaped leaf sweep: `count` successive sub-transforms, consecutive
 /// base offsets when strided, consecutive blocks at unit stride (mirrors
-/// sim::simulate_leaf_sweep / leaf_cost_sim).
+/// sim::simulate_leaf_sweep and the simulated oracle's leaf probe).
 std::vector<AccessPass> leaf_prim(index_t n, index_t s, index_t count, std::size_t eb) {
   const i64 ebi = static_cast<i64>(eb);
   const i64 bstep = s > 1 ? ebi : static_cast<i64>(n) * ebi;
@@ -1042,8 +1042,8 @@ StreamRef prim_twref(u64 base, index_t n, i64 mul0, i64 mul1, i64 off0, i64 off1
   return r;
 }
 
-/// Tiled transpose at fixed addresses (mirrors sim reorg_cost_sim /
-/// perm_cost_sim tiling: kTile x kTile blocks, ragged edge flattened).
+/// Tiled transpose at fixed addresses (mirrors the simulated oracle's reorg
+/// and perm tiling: kTile x kTile blocks, ragged edge flattened).
 AccessPass prim_transpose(const char* op, index_t nr, index_t nc, u64 rd_base, i64 rd_j,
                           i64 rd_i, u64 wr_base, i64 wr_j, i64 wr_i, std::size_t eb) {
   const index_t jt = std::min<index_t>(kTile, nc);
@@ -1325,11 +1325,6 @@ const char* obs_stage_model(obs::Stage stage) noexcept {
     case obs::Stage::stream_ola: return "waived: stream staging outside the plan address space";
     case obs::Stage::svc_tenant_batch:
       return "waived: service staging outside the plan address space";
-    case obs::Stage::huge_transpose:
-      return "modeled: 'reorg gather' + 'permute gather (scratch)'/'permute unpack' passes "
-             "(an fs node is the ctddlf pipeline; its transposes are the same tiled passes)";
-    case obs::Stage::huge_cols: return "expanded: left-subtree passes (four-step column stage)";
-    case obs::Stage::huge_rows: return "expanded: right-subtree passes (four-step row stage)";
     case obs::Stage::count_: return "waived: sentinel";
   }
   return "waived: unknown stage";

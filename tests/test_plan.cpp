@@ -14,6 +14,7 @@
 #include "ddl/fft/plan_cache.hpp"
 #include "ddl/plan/costdb.hpp"
 #include "ddl/plan/grammar.hpp"
+#include "ddl/plan/snapshot.hpp"
 #include "ddl/plan/tree.hpp"
 #include "ddl/plan/wisdom.hpp"
 
@@ -162,6 +163,20 @@ TEST(Grammar, FusedAndStockhamErrors) {
   EXPECT_THROW(parse_tree("st(0)"), std::invalid_argument);
   EXPECT_THROW(parse_tree("st(4,4)"), std::invalid_argument);
   EXPECT_THROW(parse_tree("st(ct(2,2))"), std::invalid_argument);
+}
+
+TEST(Grammar, LegacyFsSpellingReadsAsCtddlf) {
+  // Wisdom and snapshot files may still hold four-step roots written as
+  // fs(a,b): they load as the ctddlf split they always executed, and render
+  // back in the current spelling.
+  const auto t = parse_tree("fs(ct(16,16),st(4096))");
+  EXPECT_TRUE(equal(*t, *parse_tree("ctddlf(ct(16,16),st(4096))")));
+  EXPECT_EQ(to_string(*t), "ctddlf(ct(16,16),st(4096))");
+  EXPECT_TRUE(round_trips(*t));
+  // The alias follows the ctddlf rules, not the retired four-step geometry.
+  EXPECT_NO_THROW(parse_tree("fs(2,4)"));
+  EXPECT_THROW(parse_tree("fs(1,16)"), std::invalid_argument);
+  EXPECT_THROW(parse_tree("fsx(4,4)"), std::invalid_argument);
 }
 
 TEST(Grammar, WhitespaceTolerated) {
@@ -513,6 +528,106 @@ TEST(PlanCacheCounters, SetCapacityShrinkEvictsAndCounts) {
   cache.set_capacity(32);
   cache.clear();
   EXPECT_EQ(cache.evictions(), 0u);  // clear() resets the counter
+}
+
+// ---------------------------------------------------------------------------
+// DDLSNAP snapshots: byte-identical round-trip, fail-closed merges
+// ---------------------------------------------------------------------------
+
+void fill_stores(plan::CostDb& costs, plan::Wisdom& wisdom) {
+  costs.put({"dft_leaf", 16, 1, 0, "avx2"}, 1.25e-8, plan::CostSource::calibrated);
+  costs.put({"dft_leaf", 32, 4, 0, ""}, 3.5e-8, plan::CostSource::probe);
+  costs.put({"reorg_gather", 256, 4096, 0, ""}, 9.75e-7, plan::CostSource::probe);
+  wisdom.remember("fft", "ddl_dp", 65536, {"ctddlf(st(256),st(256))", 4.0e-4});
+  wisdom.remember("fft", "huge", 1 << 20, {"fs(ct(16,16),st(4096))", 8.0e-3});
+}
+
+TEST(Snapshot, ExportMergeExportIsByteIdentical) {
+  plan::CostDb costs;
+  plan::Wisdom wisdom;
+  fill_stores(costs, wisdom);
+
+  const std::filesystem::path first = temp_file("snap_a");
+  const std::filesystem::path second = temp_file("snap_b");
+  ASSERT_TRUE(plan::save_snapshot(first, costs, wisdom));
+
+  plan::CostDb merged_costs;
+  plan::Wisdom merged_wisdom;
+  std::string error;
+  ASSERT_TRUE(plan::merge_snapshot(first, merged_costs, merged_wisdom, &error)) << error;
+  EXPECT_EQ(merged_costs.size(), costs.size());
+  EXPECT_EQ(merged_wisdom.size(), wisdom.size());
+
+  ASSERT_TRUE(plan::save_snapshot(second, merged_costs, merged_wisdom));
+  EXPECT_EQ(read_bytes(first), read_bytes(second));
+  std::filesystem::remove(first);
+  std::filesystem::remove(second);
+}
+
+TEST(Snapshot, MergeIsLastWriterWinsPerKey) {
+  plan::CostDb costs;
+  plan::Wisdom wisdom;
+  fill_stores(costs, wisdom);
+  const std::filesystem::path file = temp_file("snap_lww");
+  ASSERT_TRUE(plan::save_snapshot(file, costs, wisdom));
+
+  plan::CostDb target;
+  plan::Wisdom target_wisdom;
+  // Pre-existing entries: one overlapping key (overwritten), one foreign
+  // key (preserved).
+  target.put({"dft_leaf", 16, 1, 0, "avx2"}, 99.0, plan::CostSource::probe);
+  target.put({"dft_leaf", 8, 1, 0, "sse2"}, 5.0e-9, plan::CostSource::calibrated);
+
+  ASSERT_TRUE(plan::merge_snapshot(file, target, target_wisdom, nullptr));
+  EXPECT_EQ(target.size(), costs.size() + 1);  // foreign key survived
+  // The snapshot's calibrated 1.25e-8 overwrote the stale probe value (the
+  // measure closure must not run — the key is present).
+  const double merged =
+      target.get_or_measure({"dft_leaf", 16, 1, 0, "avx2"}, [] { return 0.0; });
+  EXPECT_DOUBLE_EQ(merged, 1.25e-8);
+  EXPECT_TRUE(target.is_calibrated({"dft_leaf", 16, 1, 0, "avx2"}));
+  std::filesystem::remove(file);
+}
+
+TEST(Snapshot, CorruptFilesRejectedWithStoresUntouched) {
+  const struct {
+    const char* tag;
+    const char* body;
+  } cases[] = {
+      {"bad_header", "DDLSNAP 2\ncostdb 0\nwisdom 0\n"},
+      {"truncated", "DDLSNAP 1\ncostdb 3\ndft_leaf 16 1 0 - 1e-8\n"},
+      {"bad_count", "DDLSNAP 1\ncostdb zillions\nwisdom 0\n"},
+      {"bad_cost", "DDLSNAP 1\ncostdb 1\ndft_leaf 16 1 0 - -3.0\nwisdom 0\n"},
+      {"bad_tree",
+       "DDLSNAP 1\ncostdb 0\nwisdom 1\nfft ddl_dp 64 1e-5 ct(not,a,tree)\n"},
+      {"size_mismatch",
+       "DDLSNAP 1\ncostdb 0\nwisdom 1\nfft ddl_dp 128 1e-5 ct(16,16)\n"},
+      {"trailing",
+       "DDLSNAP 1\ncostdb 0\nwisdom 0\nsome trailing garbage\n"},
+  };
+  for (const auto& c : cases) {
+    const std::filesystem::path file = temp_file(c.tag);
+    {
+      std::ofstream os(file);
+      os << c.body;
+    }
+    plan::CostDb costs;
+    plan::Wisdom wisdom;
+    std::string error;
+    EXPECT_FALSE(plan::merge_snapshot(file, costs, wisdom, &error)) << c.tag;
+    EXPECT_FALSE(error.empty()) << c.tag;
+    EXPECT_EQ(costs.size(), 0u) << c.tag;   // fail-closed: nothing committed
+    EXPECT_EQ(wisdom.size(), 0u) << c.tag;
+    std::filesystem::remove(file);
+  }
+}
+
+TEST(Snapshot, MissingFileReportsOpenFailure) {
+  plan::CostDb costs;
+  plan::Wisdom wisdom;
+  std::string error;
+  EXPECT_FALSE(plan::merge_snapshot(temp_file("nonexistent_zzz"), costs, wisdom, &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos);
 }
 
 }  // namespace

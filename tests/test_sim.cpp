@@ -178,5 +178,91 @@ TEST(DdlVsSdl, NoPenaltyBelowCacheSize) {
             1.5 * static_cast<double>(sdl.stats().misses) + 4096);
 }
 
+
+// Every stage's address sequence is described once (the tracer's emitters)
+// and replayed by FftTracer, WhtTracer and the simulated cost oracle. The
+// values are pinned exactly, so any change to an emitted sequence shows
+// here. Each oracle kind appears at least once, with ragged
+// (non-multiple-of-16) transposes among them, and each tracer runs static,
+// ddl, fused, Stockham and non-power-of-two trees on the default 512 KB
+// direct-mapped cache.
+TEST(SimPin, OracleAndTracersReplayRecordedSequences) {
+  const auto oracle = simulated_cost_oracle({});
+  const struct {
+    plan::CostKey key;
+    double cost;
+  } oracle_pins[] = {
+      {{"dft_leaf", 16, 1, 0}, 152},
+      {{"dft_leaf", 16, 512, 0}, 152},
+      {{"dft_leaf", 12, 40, 0}, 83.0625},
+      {{"wht_leaf", 16, 1, 0}, 92},
+      {{"wht_leaf", 8, 1024, 0}, 46},
+      {{"tw_rows", 1024, 32, 1}, 15693},
+      {{"tw_rows", 256, 16, 64}, 8775},
+      {{"tw_rows", 360, 24, 3}, 10656},
+      {{"tw_cols", 1024, 32, 0}, 15693},
+      {{"tw_cols", 360, 24, 0}, 5676},
+      {{"perm", 1024, 32, 1}, 19456},
+      {{"perm", 4096, 64, 4}, 169984},
+      {{"perm", 1152, 48, 1}, 21888},
+      {{"reorg", 32, 32, 1}, 19456},
+      {{"reorg", 64, 64, 16}, 300634},
+      {{"reorg", 24, 48, 1}, 21888},
+      {{"reorg_g", 64, 64, 16}, 161822},
+      {{"reorg_g", 24, 48, 1}, 19584},
+      {{"fused_tws", 32, 32, 1}, 23739},
+      {{"fused_tws", 64, 64, 8}, 191801},
+      {{"fused_tws", 24, 40, 3}, 37347},
+      {{"stockham", 1024, 1, 0}, 40703},
+      {{"stockham", 256, 64, 0}, 17855},
+      {{"stockham", 2, 8, 0}, 137},
+      {{"wht_reorg", 64, 64, 4}, 93184},
+      {{"wht_reorg", 24, 48, 1}, 13248},
+  };
+  for (const auto& p : oracle_pins) {
+    EXPECT_EQ(oracle(p.key), p.cost)
+        << p.key.kind << " " << p.key.a << " " << p.key.b << " " << p.key.c;
+  }
+
+  const struct {
+    const char* tree;
+    bool wht;
+    cache::CacheStats stats;
+  } tracer_pins[] = {
+      {"ct(16,ct(16,ct(16,16)))", false,
+       {1851395, 1015810, 835585, 442912, 46620, 396292, 0, 434720}},
+      {"ctddl(ct(16,16),ct(16,16))", false,
+       {2113539, 1146882, 966657, 348505, 43522, 304983, 0, 340313}},
+      {"ctddlf(ct(16,16),ctddl(16,16))", false,
+       {2245633, 1212929, 1032704, 385478, 43522, 341956, 0, 377286}},
+      {"ctddlf(st(256),st(256))", false,
+       {2817025, 1506305, 1310720, 456026, 43509, 412517, 0, 447834}},
+      {"ct(st(64),st(1024))", false,
+       {2944771, 1569602, 1375169, 502087, 45745, 456342, 0, 493895}},
+      {"ctddl(ct(12,20),ctddlf(24,ct(9,5)))", false,
+       {11059443, 5985122, 5074321, 919077, 179005, 740072, 0, 910885}},
+      {"ctddl(ct(16,16),ct(16,16))", true,
+       {786432, 393216, 393216, 38272, 16384, 21888, 0, 30080}},
+      {"ct(ctddl(24,ct(12,4)),ctddl(8,8))", true,
+       {1327104, 663552, 663552, 59547, 9360, 50187, 0, 51355}},
+  };
+  for (const auto& p : tracer_pins) {
+    cache::Cache cache(cache::CacheConfig{});
+    if (p.wht) {
+      WhtTracer(cache).run(*plan::parse_tree(p.tree));
+    } else {
+      FftTracer(cache).run(*plan::parse_tree(p.tree));
+    }
+    const cache::CacheStats& s = cache.stats();
+    EXPECT_EQ(s.accesses, p.stats.accesses) << p.tree;
+    EXPECT_EQ(s.reads, p.stats.reads) << p.tree;
+    EXPECT_EQ(s.writes, p.stats.writes) << p.tree;
+    EXPECT_EQ(s.misses, p.stats.misses) << p.tree;
+    EXPECT_EQ(s.compulsory_misses, p.stats.compulsory_misses) << p.tree;
+    EXPECT_EQ(s.conflict_misses, p.stats.conflict_misses) << p.tree;
+    EXPECT_EQ(s.evictions, p.stats.evictions) << p.tree;
+  }
+}
+
 }  // namespace
 }  // namespace ddl::sim

@@ -113,7 +113,7 @@ std::vector<real_t> convolve_direct(const std::vector<real_t>& x, const std::vec
 // -------------------------------------------------------------------------
 
 TEST(StreamRfft, MatchesComplexReferenceWithin2Ulp) {
-  for (const index_t n : {index_t{2}, index_t{4}, index_t{16}, index_t{96}, index_t{1024}}) {
+  for (const index_t n : {2, 4, 8, 16, 24, 64, 96, 128, 256, 1024, 4096}) {
     const auto x = random_real(n, 17 + static_cast<std::uint64_t>(n));
 
     stream::Rfft rfft(n);
@@ -135,11 +135,14 @@ TEST(StreamRfft, MatchesComplexReferenceWithin2Ulp) {
       EXPECT_NEAR(spec[static_cast<std::size_t>(k)].imag(), ref[k].imag(), tol)
           << "n=" << n << " bin=" << k;
     }
+    // A real input's DC and Nyquist bins are real.
+    EXPECT_NEAR(spec.front().imag(), 0.0, tol) << "n=" << n;
+    EXPECT_NEAR(spec.back().imag(), 0.0, tol) << "n=" << n;
   }
 }
 
 TEST(StreamRfft, RoundTripRecoversInput) {
-  for (const index_t n : {index_t{2}, index_t{8}, index_t{640}, index_t{4096}}) {
+  for (const index_t n : {2, 4, 8, 16, 24, 64, 96, 256, 640, 1024, 4096}) {
     const auto x = random_real(n, 23);
     stream::Rfft rfft(n);
     std::vector<cplx> spec(static_cast<std::size_t>(rfft.bins()));

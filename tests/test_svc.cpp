@@ -13,6 +13,8 @@
 #include <chrono>
 #include <future>
 #include <mutex>
+#include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,6 +28,7 @@
 #include "ddl/obs/obs.hpp"
 #include "ddl/plan/grammar.hpp"
 #include "ddl/svc/service.hpp"
+#include "ddl/svc/sharded.hpp"
 #include "ddl/verify/plan_verify.hpp"
 #include "ddl/wht/wht_api.hpp"
 
@@ -53,6 +56,14 @@ std::vector<cplx> random_signal(index_t n, std::uint64_t seed) {
   AlignedBuffer<cplx> buf(n);
   fill_random(buf.span(), seed);
   return {buf.begin(), buf.end()};
+}
+
+void expect_bitwise_equal(std::span<const cplx> a, std::span<const cplx> b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i].real(), b[i].real()) << "at " << i;
+    ASSERT_EQ(a[i].imag(), b[i].imag()) << "at " << i;
+  }
 }
 
 TEST(Svc, SingleRequestMatchesDirectExecutor) {
@@ -690,6 +701,98 @@ TEST(Svc, TenantAndLaneConfigRulesGateConstruction) {
     positioned = positioned || d.node_path == "config.tenants[0].weight";
   }
   EXPECT_TRUE(positioned);
+}
+
+// ---------------------------------------------------------------------------
+// ShardedService: routing, correctness, aggregated stats
+// ---------------------------------------------------------------------------
+
+TEST(Sharded, InvalidShardCountsThrow) {
+  for (const int shards : {0, -1, static_cast<int>(verify::kMaxServiceShards) + 1}) {
+    svc::ShardedConfig cfg;
+    cfg.shards = shards;
+    cfg.shard = test_config();
+    EXPECT_THROW(svc::ShardedService{cfg}, std::invalid_argument) << shards;
+  }
+}
+
+TEST(Sharded, RoutingIsStableAndInRange) {
+  svc::ShardedConfig cfg;
+  cfg.shards = 4;
+  cfg.shard = test_config();
+  svc::ShardedService service(cfg);
+
+  std::set<int> seen;
+  for (std::uint32_t tenant = 0; tenant < 64; ++tenant) {
+    const int s = service.shard_for(tenant);
+    EXPECT_GE(s, 0);
+    EXPECT_LT(s, 4);
+    EXPECT_EQ(s, service.shard_for(tenant));  // stable within a run
+    seen.insert(s);
+  }
+  // splitmix64 over 64 tenants must spread past a single shard.
+  EXPECT_GT(seen.size(), 1u);
+}
+
+TEST(Sharded, ResultsMatchDirectExecutorAndStatsAggregate) {
+  const index_t n = 256;
+  const int kTenants = 6;
+  const int kPerTenant = 4;
+
+  std::vector<cplx> expect = random_signal(n, 21);
+  fft::FftExecutor exec(*svc::default_tree(svc::Kind::fft, n));
+  exec.forward(expect);
+
+  svc::ShardedConfig cfg;
+  cfg.shards = 3;
+  cfg.shard = test_config();
+  svc::ShardedService service(cfg);
+
+  std::vector<std::vector<cplx>> data;
+  std::vector<std::future<svc::Result>> futures;
+  data.reserve(kTenants * kPerTenant);
+  for (std::uint32_t tenant = 0; tenant < kTenants; ++tenant) {
+    for (int i = 0; i < kPerTenant; ++i) {
+      data.push_back(random_signal(n, 21));
+      futures.push_back(service.submit_fft(data.back(), svc::Direction::forward, 0, tenant));
+    }
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const svc::Result r = futures[i].get();
+    ASSERT_EQ(r.status, svc::Status::ok) << i;
+    expect_bitwise_equal(data[i], expect);
+  }
+  service.drain();
+
+  const svc::TransformService::Stats total = service.stats();
+  EXPECT_EQ(total.submitted, static_cast<std::uint64_t>(kTenants * kPerTenant));
+  EXPECT_EQ(total.completed, static_cast<std::uint64_t>(kTenants * kPerTenant));
+  EXPECT_EQ(total.tenants.size(), static_cast<std::size_t>(kTenants));
+
+  // Per-shard tallies must sum to the aggregate.
+  std::uint64_t per_shard = 0;
+  for (int s = 0; s < service.shards(); ++s) per_shard += service.shard(s).stats().completed;
+  EXPECT_EQ(per_shard, total.completed);
+}
+
+TEST(Sharded, SharedStoresAreProcessWide) {
+  // Caller-provided stores pass through; owned stores are created once.
+  plan::CostDb costs;
+  plan::Wisdom wisdom;
+  svc::ShardedConfig cfg;
+  cfg.shards = 2;
+  cfg.shard = test_config();
+  cfg.shard.cost_db = &costs;
+  cfg.shard.wisdom = &wisdom;
+  svc::ShardedService service(cfg);
+  EXPECT_EQ(&service.cost_db(), &costs);
+  EXPECT_EQ(&service.wisdom(), &wisdom);
+
+  svc::ShardedConfig owned;
+  owned.shards = 2;
+  owned.shard = test_config();
+  svc::ShardedService service2(owned);
+  EXPECT_EQ(&service2.cost_db(), &service2.cost_db());  // stable reference
 }
 
 }  // namespace

@@ -69,14 +69,12 @@ flagged line or the line above; waivers should be rare and justified):
 
   numa-syscall      Memory-placement and affinity syscalls (mmap/munmap/
                     madvise/mbind/set_mempolicy/move_pages, raw syscall(),
-                    pthread_setaffinity_np/sched_setaffinity) are confined
-                    to the one translation unit that owns them:
-                    src/common/numa_arena.cpp (the NumaArena + thread
-                    pinning implementation, docs/HUGE.md). Everywhere else
-                    allocates through AlignedBuffer or NumaArena and pins
-                    through ddl::parallel — scattered placement syscalls
-                    are unauditable and break the graceful-fallback story
-                    on hosts without NUMA support.
+                    pthread_setaffinity_np/sched_setaffinity) appear in no
+                    translation unit: memory comes from AlignedBuffer and
+                    pool lanes float. The allowlist is empty on purpose —
+                    placement or pinning code comes back only with a
+                    measured benefit on a host that can show one, and then
+                    through an explicit allowlist entry here.
 
   stage-coverage    Every obs::Stage enum value (include/ddl/obs/obs.hpp)
                     must be mentioned in src/verify/cachepred.cpp — the
@@ -171,9 +169,8 @@ WIRE_COPY = re.compile(
     r"|\b\w+\s*\+=\s*sizeof\b"
 )
 
-# The one TU allowed to issue placement/affinity syscalls (plus its header,
-# which declares but never calls them).
-NUMA_ALLOWED = ("src/common/numa_arena.cpp",)
+# Translation units allowed to issue placement/affinity syscalls: none.
+NUMA_ALLOWED: tuple[str, ...] = ()
 NUMA_SYSCALL = re.compile(
     r"\b(?:mmap|munmap|madvise|mbind|set_mempolicy|move_pages|syscall"
     r"|pthread_setaffinity_np|sched_setaffinity)\s*\("
@@ -307,8 +304,7 @@ def lint_file(path: Path, rel: str, findings: list[str]) -> None:
         ):
             findings.append(
                 f"{rel}:{idx + 1}: numa-syscall: placement/affinity syscalls"
-                f" live only in src/common/numa_arena.cpp — allocate through"
-                f" NumaArena and pin through ddl::parallel (docs/HUGE.md):"
+                f" have no allowlisted home — allocate through AlignedBuffer:"
                 f" {raw.strip()}"
             )
 

@@ -28,18 +28,12 @@
 #   5b. stream smoke               `ddlfft stream` chain verify (RFFT/STFT/
 #                                  partitioned convolution vs direct
 #                                  reference) + stream_latency JSON export
-#   5e. huge smoke                 `ddlfft plan --huge` returns an fs(...)
-#                                  four-step root at 2^20, the root verifies
-#                                  clean, the profile path executes it through
-#                                  the staged HugeExecutor, and analyze-plan
-#                                  on a canonical fs tree diffs against its
-#                                  checked-in golden (tools/golden/)
 #   6. autotune smoke              `ddlfft autotune` on tiny sizes: calibrate
 #                                  from traced runs, re-plan over measured
 #                                  costs (fails if the DP never consulted
 #                                  them), persist costdb+wisdom, and verify
 #                                  a corrupt costdb is rejected fail-closed
-#   6b. cache-oracle smoke         `ddlfft analyze-plan` on two canonical
+#   6b. cache-oracle smoke         `ddlfft analyze-plan` on three canonical
 #                                  trees diffed against checked-in goldens
 #                                  (tools/golden/): the symbolic cache-miss
 #                                  analyzer is deterministic by construction,
@@ -162,27 +156,6 @@ assert all('p50_us' in r['extra'] and 'p99_us' in r['extra'] for r in rows)
 }
 check "ddlfft stream smoke (chain verify + BENCH_stream JSON)" stream_smoke
 
-# 5e. huge smoke: the out-of-LLC path end to end at a CI-friendly size —
-#     plan_huge must return an fs(...) root, the root must pass the static
-#     verifier (fs_geometry et al.), the staged executor must run it, and
-#     the symbolic analyzer's fs stage catalogue is pinned by a golden.
-huge_smoke() {
-  local plan_out
-  plan_out="$(./build/apps/ddlfft plan --huge --n 2^20)" || return 1
-  grep -q 'fs(' <<<"$plan_out" ||
-    { echo "plan --huge did not return an fs(...) root:"; echo "$plan_out"; return 1; }
-  local tree
-  tree="$(sed -n 's/^ *tree: *//p' <<<"$plan_out" | head -1)"
-  ./build/apps/ddlfft verify --tree "$tree" >/dev/null ||
-    { echo "huge plan failed verification: $tree"; return 1; }
-  ./build/apps/ddlfft profile 2^20 --huge --reps 2 >/dev/null ||
-    { echo "profile --huge failed on $tree"; return 1; }
-  ./build/apps/ddlfft analyze-plan --tree "fs(st(1024),st(1024))" \
-    --cache 32K:8,512K:1 > build/analyze_fs.txt &&
-    diff -u tools/golden/analyze_fs_st1024_st1024.txt build/analyze_fs.txt
-}
-check "huge smoke (plan --huge fs root + verify + staged profile + golden)" huge_smoke
-
 # 5d. sustained service run: refreshes the committed BENCH_svc.json at the
 #     repo root and enforces the multi-tenant fairness figure. Exit 2 (open
 #     loop failed to shed) is tolerated like the smoke; exit 3 — the light
@@ -244,7 +217,10 @@ cache_oracle_smoke() {
     diff -u tools/golden/analyze_ct16_16_16.txt build/analyze_static.txt &&
     ./build/apps/ddlfft analyze-plan --tree "ctddlf(16,ct(16,16))" \
       --cache 32K:8,512K:1 > build/analyze_ddlf.txt &&
-    diff -u tools/golden/analyze_ctddlf16_16_16.txt build/analyze_ddlf.txt
+    diff -u tools/golden/analyze_ctddlf16_16_16.txt build/analyze_ddlf.txt &&
+    ./build/apps/ddlfft analyze-plan --tree "ctddlf(st(1024),st(1024))" \
+      --cache 32K:8,512K:1 > build/analyze_ddlf_st.txt &&
+    diff -u tools/golden/analyze_ctddlf_st1024_st1024.txt build/analyze_ddlf_st.txt
 }
 check "cache-oracle smoke (analyze-plan vs goldens)" cache_oracle_smoke
 
