@@ -167,7 +167,7 @@ plan::TreePtr plan_tree(const cli::Args& args, Stores& stores, const std::string
   if (transform == "wht") {
     wht::PlannerOptions opts;
     if (oracle) {
-      opts.cost_oracle = sim::simulated_cost_oracle({});
+      opts.cost_oracle = sim::simulated_cost_oracle();
     } else {
       opts.cost_db = &stores.cost_db;
       opts.wisdom = &stores.wisdom;
@@ -178,7 +178,7 @@ plan::TreePtr plan_tree(const cli::Args& args, Stores& stores, const std::string
   }
   fft::PlannerOptions opts;
   if (oracle) {
-    opts.cost_oracle = sim::simulated_cost_oracle({});
+    opts.cost_oracle = sim::simulated_cost_oracle();
   } else {
     opts.cost_db = &stores.cost_db;
     opts.wisdom = &stores.wisdom;
@@ -489,9 +489,9 @@ int cmd_analyze(const cli::Args& args) {
                       "l2_miss", "bytes", "closed"});
   for (const auto& st : report.stages) {
     const auto& p = st.predict;
-    stages.add_row({st.pass.node_path, st.pass.op, std::to_string(p.l1.accesses),
-                    std::to_string(p.l1.misses), std::to_string(p.l1.compulsory),
-                    std::to_string(p.l1.capacity), std::to_string(p.l1.conflict),
+    stages.add_row({st.node_path, st.op, std::to_string(p.l1.accesses),
+                    std::to_string(p.l1.misses), std::to_string(p.l1.compulsory_misses),
+                    std::to_string(p.l1.capacity_misses), std::to_string(p.l1.conflict_misses),
                     two_level ? std::to_string(p.l2.misses) : "-",
                     std::to_string(p.bytes_moved), p.closed_form ? "yes" : "no"});
   }
@@ -512,9 +512,9 @@ int cmd_analyze(const cli::Args& args) {
   cover.print(std::cout, "footprint-stage coverage cross-check");
 
   std::cout << "\ntotals: " << report.total_l1.accesses << " accesses, "
-            << report.total_l1.misses << " L1 misses (" << report.total_l1.compulsory
-            << " compulsory, " << report.total_l1.capacity << " capacity, "
-            << report.total_l1.conflict << " conflict)";
+            << report.total_l1.misses << " L1 misses (" << report.total_l1.compulsory_misses
+            << " compulsory, " << report.total_l1.capacity_misses << " capacity, "
+            << report.total_l1.conflict_misses << " conflict)";
   if (two_level) std::cout << ", " << report.total_l2.misses << " L2 misses";
   std::cout << ", " << report.bytes_moved << " bytes moved\n"
             << "coverage: " << (report.covered() ? "complete" : "INCOMPLETE") << "\n";

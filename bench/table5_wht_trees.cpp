@@ -43,7 +43,7 @@ int main() {
     // The paper's WHT experiments use 8-byte points, so the 512 KB cache
     // holds 2^16 of them.
     wht::PlannerOptions opts;
-    opts.cost_oracle = sim::simulated_cost_oracle({});
+    opts.cost_oracle = sim::simulated_cost_oracle();
     wht::WhtPlanner planner(opts);
     TableWriter table({"n", "wht_sdl_tree", "wht_ddl_tree", "ddl_nodes", "same"});
     for (int k = 12; k <= 22; k += 2) {

@@ -16,6 +16,7 @@
 #include <list>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "ddl/common/types.hpp"
@@ -95,6 +96,7 @@ struct CacheStats {
   [[nodiscard]] double miss_rate() const {
     return accesses == 0 ? 0.0 : static_cast<double>(misses) / static_cast<double>(accesses);
   }
+  bool operator==(const CacheStats&) const = default;
 };
 
 /// One cache level.
@@ -115,6 +117,16 @@ class Cache {
 
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
+
+  /// Replacement state, for comparing two points of an access stream:
+  /// every resident line as (line address, stamp), and the split_remiss
+  /// shadow's lines in LRU -> MRU order. Only the order of stamps within a
+  /// set carries meaning.
+  struct State {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> lines;
+    std::vector<std::uint64_t> shadow;
+  };
+  [[nodiscard]] State state() const;
 
  private:
   struct Line {
@@ -146,6 +158,8 @@ class Cache {
   CacheConfig config_;
   std::size_t sets_;
   std::size_t ways_;
+  int line_shift_;  ///< log2(line_bytes): line address = addr >> line_shift_
+  int set_shift_;   ///< log2(sets_): tag = line address >> set_shift_
   std::vector<Line> lines_;  ///< sets_ x ways_, row-major by set
   std::vector<Stream> streams_;
   std::size_t stream_rr_ = 0;  ///< round-robin allocation cursor

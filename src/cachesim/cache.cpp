@@ -1,5 +1,7 @@
 #include "ddl/cachesim/cache.hpp"
 
+#include <bit>
+
 #include "ddl/common/check.hpp"
 #include "ddl/common/mathutil.hpp"
 
@@ -29,6 +31,8 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   config.validate();
   ways_ = config.ways();
   sets_ = config.sets();
+  line_shift_ = std::countr_zero(config.line_bytes);
+  set_shift_ = std::countr_zero(sets_);
   lines_.assign(sets_ * ways_, Line{});
   if (config_.prefetch == Prefetch::stream) {
     streams_.assign(static_cast<std::size_t>(config_.stream_table), Stream{});
@@ -44,9 +48,9 @@ bool Cache::access(std::uint64_t addr, bool is_write) {
   }
   ++tick_;
 
-  const std::uint64_t line_addr = addr / config_.line_bytes;
+  const std::uint64_t line_addr = addr >> line_shift_;
   const std::size_t set = static_cast<std::size_t>(line_addr) & (sets_ - 1);
-  const std::uint64_t tag = line_addr / sets_;
+  const std::uint64_t tag = line_addr >> set_shift_;
   Line* set_base = lines_.data() + set * ways_;
 
   if (config_.prefetch == Prefetch::stream) train_streams(line_addr);
@@ -113,7 +117,7 @@ bool Cache::shadow_touch(std::uint64_t line_addr) {
 
 bool Cache::prefetch_fill(std::uint64_t line_addr) {
   const std::size_t set = static_cast<std::size_t>(line_addr) & (sets_ - 1);
-  const std::uint64_t tag = line_addr / sets_;
+  const std::uint64_t tag = line_addr >> set_shift_;
   Line* set_base = lines_.data() + set * ways_;
   for (std::size_t w = 0; w < ways_; ++w) {
     if (set_base[w].valid && set_base[w].tag == tag) return false;  // already resident
@@ -193,6 +197,16 @@ void Cache::reset() {
   touched_.clear();
   shadow_lru_.clear();
   shadow_pos_.clear();
+}
+
+Cache::State Cache::state() const {
+  State st;
+  for (std::size_t i = 0; i < lines_.size(); ++i) {
+    const Line& line = lines_[i];
+    if (line.valid) st.lines.emplace_back(line.tag * sets_ + i / ways_, line.stamp);
+  }
+  st.shadow.assign(shadow_lru_.begin(), shadow_lru_.end());
+  return st;
 }
 
 Hierarchy::Hierarchy(const CacheConfig& l1, const CacheConfig& l2) : l1_(l1), l2_(l2) {}

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <functional>
-#include <list>
 #include <map>
-#include <memory>
 #include <numeric>
-#include <unordered_map>
+#include <optional>
 #include <unordered_set>
 
 #include "ddl/common/check.hpp"
@@ -34,175 +31,212 @@ std::vector<index_t> catl(std::vector<index_t> v, std::initializer_list<index_t>
   return v;
 }
 
-/// Byte address of `r` at outer indices `idx` and inner element `e`.
-u64 ref_addr(const StreamRef& r, const std::vector<index_t>& idx, index_t e) {
-  i64 a = static_cast<i64>(r.base) + static_cast<i64>(e) * r.elem_step;
-  for (std::size_t l = 0; l < idx.size(); ++l) {
-    a += static_cast<i64>(idx[l]) * r.loop_step[l];
+/// Accesses one ref issues over a whole execution of its pass.
+u64 ref_accesses(const AccessPass& pass, const Sweep& sw, const StreamRef& r) {
+  if (sw.count <= 0) return 0;
+  u64 iters = 1;
+  for (index_t c : pass.loops) iters *= static_cast<u64>(std::max<index_t>(c, 0));
+  if (r.skip_first_outer && !pass.loops.empty() && pass.loops.back() > 0) {
+    const auto last = static_cast<u64>(pass.loops.back());
+    iters = iters / last * (last - 1);
   }
-  if (r.mod_n != 0) {
-    i64 mul = r.mul0;
-    i64 off = r.off0;
-    for (std::size_t l = 0; l < idx.size(); ++l) {
-      mul += static_cast<i64>(idx[l]) * r.mul_loop[l];
-      off += static_cast<i64>(idx[l]) * r.off_loop[l];
-    }
-    i64 t = (mul * static_cast<i64>(e) + off) % static_cast<i64>(r.mod_n);
-    if (t < 0) t += static_cast<i64>(r.mod_n);
-    a += t * static_cast<i64>(r.mod_scale);
-  }
-  return static_cast<u64>(a);
-}
-
-/// Walk outer-loop-0 iterations [lo, hi) of the nest (the whole pass when
-/// the pass has no outer loops and lo == 0, hi == 1).
-void walk_iters(const AccessPass& pass, index_t lo, index_t hi,
-                const std::function<void(u64, bool)>& touch) {
-  const std::size_t nl = pass.loops.size();
-  for (std::size_t l = 1; l < nl; ++l) {
-    if (pass.loops[l] <= 0) return;
-  }
-  std::vector<index_t> idx(nl, 0);
-  u64 inner = 1;
-  for (std::size_t l = 1; l < nl; ++l) inner *= static_cast<u64>(pass.loops[l]);
-  for (index_t i0 = lo; i0 < hi; ++i0) {
-    if (nl > 0) idx[0] = i0;
-    for (std::size_t l = 1; l < nl; ++l) idx[l] = 0;
-    for (u64 it = 0; it < inner; ++it) {
-      const bool first_outer = nl != 0 && idx[nl - 1] == 0;
-      for (const Sweep& sw : pass.sweeps) {
-        for (index_t e = 0; e < sw.count; ++e) {
-          for (const StreamRef& r : sw.refs) {
-            if (r.once && e != 0) continue;
-            if (r.skip_first_elem && e == 0) continue;
-            if (r.skip_first_outer && first_outer) continue;
-            touch(ref_addr(r, idx, e), r.write);
-          }
-        }
-      }
-      for (std::size_t l = nl; l-- > 1;) {
-        if (++idx[l] < pass.loops[l]) break;
-        idx[l] = 0;
-      }
-    }
-  }
-}
-
-/// Accesses one ref issues per full outer iteration of its pass.
-u64 ref_per_iter(const StreamRef& r, index_t count) {
-  if (count <= 0) return 0;
-  if (r.once) return 1;
-  return static_cast<u64>(r.skip_first_elem ? count - 1 : count);
+  if (r.once) return iters;
+  return iters * static_cast<u64>(r.skip_first_elem ? sw.count - 1 : sw.count);
 }
 
 }  // namespace
 
-void walk_pass(const AccessPass& pass, const std::function<void(u64, bool)>& touch) {
+void validate_pass(const AccessPass& pass) {
   for (const Sweep& sw : pass.sweeps) {
+    DDL_REQUIRE(sw.refs.size() <= kMaxSweepRefs, "too many refs in one sweep");
     for (const StreamRef& r : sw.refs) {
-      DDL_CHECK(r.loop_step.size() == pass.loops.size(), "ref/loop arity mismatch");
-      DDL_CHECK(r.mod_n == 0 || (r.mul_loop.size() == pass.loops.size() &&
-                                 r.off_loop.size() == pass.loops.size()),
-                "modular ref/loop arity mismatch");
+      DDL_REQUIRE(r.loop_step.size() == pass.loops.size(), "ref/loop arity mismatch");
+      DDL_REQUIRE(r.mod_n == 0 || (r.mul_loop.size() == pass.loops.size() &&
+                                   r.off_loop.size() == pass.loops.size()),
+                  "modular ref/loop arity mismatch");
     }
   }
-  walk_iters(pass, 0, pass.loops.empty() ? 1 : pass.loops[0], touch);
 }
 
 std::uint64_t AccessPass::accesses() const {
-  u64 outer = 1;
-  for (index_t c : loops) outer *= static_cast<u64>(std::max<index_t>(c, 0));
   u64 total = 0;
   for (const Sweep& sw : sweeps) {
-    for (const StreamRef& r : sw.refs) {
-      u64 iters = outer;
-      if (r.skip_first_outer && !loops.empty()) {
-        const index_t last = loops.back();
-        if (last > 0) iters = iters / static_cast<u64>(last) * static_cast<u64>(last - 1);
-      }
-      total += iters * ref_per_iter(r, sw.count);
-    }
+    for (const StreamRef& r : sw.refs) total += ref_accesses(*this, sw, r);
   }
   return total;
 }
 
 std::uint64_t AccessPass::bytes_touched() const {
-  u64 outer = 1;
-  for (index_t c : loops) outer *= static_cast<u64>(std::max<index_t>(c, 0));
   u64 total = 0;
   for (const Sweep& sw : sweeps) {
-    for (const StreamRef& r : sw.refs) {
-      u64 iters = outer;
-      if (r.skip_first_outer && !loops.empty()) {
-        const index_t last = loops.back();
-        if (last > 0) iters = iters / static_cast<u64>(last) * static_cast<u64>(last - 1);
-      }
-      total += iters * ref_per_iter(r, sw.count) * r.width;
-    }
+    for (const StreamRef& r : sw.refs) total += ref_accesses(*this, sw, r) * r.width;
   }
   return total;
 }
 
 // ---------------------------------------------------------------------------
-// Pass enumeration — mirrors sim::FftTracer / sim::WhtTracer structurally:
-// same recursion, same synthetic address space (data at 0, line-aligned
-// scratch arena, twiddle regions in first-use order), but stage-major: each
-// stage becomes ONE pass whose outer loops carry the instance dimension.
+// Stage builders — the one description of each executor stage's accesses.
+// Every consumer (stage-major enumeration, the executor-order walk the
+// simulator replays, the per-key primitive probes) calls these at its own
+// base addresses.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-class Emitter {
+/// Outer context of a stage: ancestor instance-loop counts plus the byte
+/// step each applies to the node's data base. Scratch and twiddle regions
+/// never shift with instance loops, so their refs use a zero prefix.
+struct Ctx {
+  std::vector<index_t> loops;
+  std::vector<i64> bsteps;
+};
+
+/// One side of a transpose: addr = base + j*jstep + i*istep, with `pre`
+/// the outer-context steps of `base`.
+struct Tri {
+  u64 base;
+  std::vector<i64> pre;
+  i64 jstep;
+  i64 istep;
+};
+
+/// The stage builders. Each hands the passes of one executor stage, for
+/// elements of `eb` bytes at explicit base addresses under an outer
+/// context, to the sink.
+class PassBuilder {
  public:
-  Emitter(std::size_t eb, bool tw_on, u64 align) : eb_(eb), tw_on_(tw_on), align_(align) {
-    DDL_REQUIRE(eb_ > 0, "element size must be positive");
-    DDL_REQUIRE(align_ > 0, "alignment must be positive");
+  using Sink = std::function<void(AccessPass&&)>;
+
+  PassBuilder(std::size_t eb, Sink sink) : eb_(static_cast<i64>(eb)), sink_(std::move(sink)) {}
+
+  /// Codelet leaf: load every point, compute in registers, store every point.
+  void leaf(const std::string& path, const Ctx& c, u64 b, index_t n, index_t s) {
+    const i64 se = s * eb_;
+    Sweep rd{n, {ref(false, b, c.bsteps, se)}};
+    Sweep wr{n, {ref(true, b, c.bsteps, se)}};
+    push(path, "leaf sweep", c, {}, {std::move(rd), std::move(wr)});
   }
 
-  std::vector<AccessPass> run(const plan::Node& tree, Transform kind) {
-    const u64 n_bytes = static_cast<u64>(tree.n) * eb_;
-    arena0_ = aligned(n_bytes);
-    next_region_ = aligned(arena0_ + 2 * n_bytes);
-    tw_regions_.clear();
-    out_.clear();
-    if (kind == Transform::fft) {
-      fft_node(tree, "root", Ctx{}, 0, 1, arena0_);
-    } else {
-      wht_node(tree, "root", Ctx{}, 0, 1, arena0_);
+  /// Stockham leaf (FftExecutor::run_stockham): strided leaves pack into the
+  /// arena and ping-pong within it; unit-stride leaves ping-pong data <->
+  /// arena. One twiddle read per butterfly group, from the table at `tw`.
+  void stockham(const std::string& path, const Ctx& c, u64 b, index_t n, index_t s, u64 arena,
+                u64 tw) {
+    const i64 se = s * eb_;
+    const std::vector<i64> z = zvec(c.loops.size());
+    struct Buf {
+      u64 base;
+      const std::vector<i64>* pre;
+    };
+    Buf src{b, &c.bsteps};
+    Buf dst{arena, &z};
+    if (s > 1) {
+      Sweep pack{n, {ref(false, b, c.bsteps, se), ref(true, arena, z, eb_)}};
+      push(path, "stockham pack", c, {}, {std::move(pack)});
+      src = {arena, &z};
+      dst = {arena + static_cast<u64>(n * eb_), &z};
     }
-    return std::move(out_);
+    const Buf home = src;
+    index_t half = n / 2;
+    index_t sb = 1;
+    index_t tstep = 1;
+    for (int k = 0; half >= 1; ++k) {
+      StreamRef t = ref(false, tw, cat(z, {tstep * eb_}), 0);
+      t.once = true;  // one table read per group, before the inner loop
+      Sweep sw;
+      sw.count = sb;
+      sw.refs = {std::move(t), ref(false, src.base, cat(*src.pre, {sb * eb_}), eb_),
+                 ref(false, src.base + static_cast<u64>(sb * half * eb_),
+                     cat(*src.pre, {sb * eb_}), eb_),
+                 ref(true, dst.base, cat(*dst.pre, {2 * sb * eb_}), eb_),
+                 ref(true, dst.base + static_cast<u64>(sb * eb_), cat(*dst.pre, {2 * sb * eb_}),
+                     eb_)};
+      push(path, "stockham stage " + std::to_string(k), c, {half}, {std::move(sw)});
+      std::swap(src, dst);
+      half /= 2;
+      sb *= 2;
+      tstep *= 2;
+    }
+    if (src.base != home.base) {
+      Sweep cp{n, {ref(false, src.base, *src.pre, eb_), ref(true, home.base, *home.pre, eb_)}};
+      push(path, "stockham copy home", c, {}, {std::move(cp)});
+    }
+    if (s > 1) {
+      Sweep un{n, {ref(false, arena, z, eb_), ref(true, b, c.bsteps, se)}};
+      push(path, "stockham unpack", c, {}, {std::move(un)});
+    }
+  }
+
+  /// Twiddle pass over the strided rows of an n1 x n2 static split: row i,
+  /// column j (both from 1) reads table entry i*j mod n.
+  void twiddle_rows(const std::string& path, const Ctx& c, u64 b, index_t n1, index_t n2,
+                    index_t s, u64 tw) {
+    const i64 se = s * eb_;
+    const u64 row0 = b + static_cast<u64>((n2 + 1) * se);
+    Sweep sw;
+    sw.count = n2 - 1;
+    sw.refs = {twref(tw, c.loops.size() + 1, n1 * n2, 1, 1, 1, 1),
+               ref(false, row0, cat(c.bsteps, {n2 * se}), se),
+               ref(true, row0, cat(c.bsteps, {n2 * se}), se)};
+    push(path, "twiddle rows", c, {n1 - 1}, {std::move(sw)});
+  }
+
+  /// Twiddle pass over the packed columns of a two-pass ddl split.
+  void twiddle_cols(const std::string& path, const Ctx& c, u64 arena, index_t n1, index_t n2,
+                    u64 tw) {
+    const std::vector<i64> z = zvec(c.loops.size());
+    const u64 col0 = arena + static_cast<u64>((n1 + 1) * eb_);
+    Sweep sw;
+    sw.count = n1 - 1;
+    sw.refs = {twref(tw, c.loops.size() + 1, n1 * n2, 1, 1, 1, 1),
+               ref(false, col0, cat(z, {n1 * eb_}), eb_),
+               ref(true, col0, cat(z, {n1 * eb_}), eb_)};
+    push(path, "twiddle columns (scratch)", c, {n2 - 1}, {std::move(sw)});
+  }
+
+  /// Fused ctddlf sweep, one column at a time: unit-stride scratch reads,
+  /// twiddle-table reads (column 0 and element 0 carry W^0 and skip them),
+  /// strided comb writes.
+  void twiddle_scatter(const std::string& path, const Ctx& c, u64 b, index_t s, index_t n1,
+                       index_t n2, u64 arena, u64 tw) {
+    const i64 se = s * eb_;
+    StreamRef t = twref(tw, c.loops.size() + 1, n1 * n2, 0, 1, 0, 0);
+    t.skip_first_outer = true;
+    t.skip_first_elem = true;
+    Sweep sw;
+    sw.count = n1;
+    sw.refs = {ref(false, arena, cat(zvec(c.loops.size()), {n1 * eb_}), eb_), std::move(t),
+               ref(true, b, cat(c.bsteps, {se}), n2 * se)};
+    push(path, "twiddle scatter (fused)", c, {n2}, {std::move(sw)});
+  }
+
+  /// layout::transpose_gather (`gather`) or transpose_scatter between the
+  /// strided n1 x n2 node at `b` and its packed copy at `arena`.
+  void reorg(const std::string& path, const Ctx& c, u64 b, index_t s, index_t n1, index_t n2,
+             u64 arena, bool gather) {
+    const i64 se = s * eb_;
+    Tri node{b, c.bsteps, se, n2 * se};
+    Tri packed{arena, zvec(c.loops.size()), n1 * eb_, eb_};
+    if (gather) {
+      transpose(path, "reorg gather", c, n1, n2, node, packed);
+    } else {
+      transpose(path, "reorg scatter", c, n1, n2, packed, node);
+    }
+  }
+
+  /// layout::stride_permute_inplace: transpose_gather(n/m, m) + linear unpack.
+  void permute(const std::string& path, const Ctx& c, u64 b, index_t s, index_t n, index_t m,
+               u64 arena) {
+    const i64 se = s * eb_;
+    const std::vector<i64> z = zvec(c.loops.size());
+    transpose(path, "permute gather (scratch)", c, n / m, m, Tri{b, c.bsteps, se, m * se},
+              Tri{arena, z, (n / m) * eb_, eb_});
+    Sweep un{n, {ref(false, arena, z, eb_), ref(true, b, c.bsteps, se)}};
+    push(path, "permute unpack", c, {}, {std::move(un)});
   }
 
  private:
-  /// Outer context: ancestor instance-loop counts plus the byte step each
-  /// applies to the node's data base. Scratch and twiddle regions never
-  /// shift with instance loops, so their refs use a zero prefix instead.
-  struct Ctx {
-    std::vector<index_t> loops;
-    std::vector<i64> bsteps;
-  };
-
-  /// One side of a transpose: addr = base + j*jstep + i*istep, with `pre`
-  /// the outer-context steps of `base`.
-  struct Tri {
-    u64 base;
-    std::vector<i64> pre;
-    i64 jstep;
-    i64 istep;
-  };
-
-  u64 aligned(u64 a) const { return (a + align_ - 1) / align_ * align_; }
-
-  u64 tw_base(index_t n) {
-    auto it = tw_regions_.find(n);
-    if (it != tw_regions_.end()) return it->second;
-    const u64 base = next_region_;
-    next_region_ = aligned(base + static_cast<u64>(n) * eb_);
-    tw_regions_.emplace(n, base);
-    return base;
-  }
-
-  StreamRef ref(bool write, u64 base, std::vector<i64> steps, i64 estep) {
+  StreamRef ref(bool write, u64 base, std::vector<i64> steps, i64 estep) const {
     StreamRef r;
     r.write = write;
     r.base = base;
@@ -215,129 +249,122 @@ class Emitter {
   /// Twiddle-table ref: table index (mul0 + c*mul_last)*e + off0 + c*off_last
   /// (mod n), where c is the pass's last outer loop and e the inner element.
   StreamRef twref(u64 base, std::size_t nloops, index_t n, i64 mul0, i64 mul_last, i64 off0,
-                  i64 off_last) {
+                  i64 off_last) const {
     StreamRef r = ref(false, base, zvec(nloops), 0);
     r.mod_n = static_cast<u64>(n);
-    r.mod_scale = eb_;
+    r.mod_scale = static_cast<u64>(eb_);
     r.mul0 = mul0;
     r.off0 = off0;
     r.mul_loop = zvec(nloops);
     r.off_loop = zvec(nloops);
-    if (nloops > 0) {
-      r.mul_loop.back() = mul_last;
-      r.off_loop.back() = off_last;
-    }
+    r.mul_loop.back() = mul_last;
+    r.off_loop.back() = off_last;
     return r;
   }
 
   void push(const std::string& path, std::string op, const Ctx& c,
-            std::initializer_list<index_t> local, std::vector<Sweep> sweeps, bool exact = true) {
+            std::initializer_list<index_t> local, std::vector<Sweep> sweeps) {
     AccessPass p;
     p.node_path = path;
     p.op = std::move(op);
     p.loops = catl(c.loops, local);
     p.sweeps = std::move(sweeps);
-    p.exact_order = exact;
-    out_.push_back(std::move(p));
+    sink_(std::move(p));
   }
 
-  /// Tiled transpose pass (kTile x kTile blocks, as layout/reorg.cpp).
-  /// Uniform tiling exists iff both extents are <= kTile or multiples of it
-  /// (always, for the power-of-two sizes the planners emit); otherwise the
-  /// ragged edge is flattened to column-major order (same accesses,
-  /// approximate order — flagged via exact_order).
+  /// Tiled transpose of an nr x nc block (layout/reorg.cpp): column tiles
+  /// outermost, then row tiles, then the tile's columns and rows, with
+  /// kTile x kTile tiles and narrower ones at the ragged edges. Each run of
+  /// equal-shaped tiles is one uniform pass. Ragged rows interleave with
+  /// full rows inside every column tile, so each column tile is then its
+  /// own pair of passes.
   void transpose(const std::string& path, const char* op, const Ctx& c, index_t nr, index_t nc,
                  const Tri& rd, const Tri& wr) {
-    const index_t jt = std::min<index_t>(kTile, nc);
-    const index_t it = std::min<index_t>(kTile, nr);
-    const bool uniform = nc % jt == 0 && nr % it == 0;
-    Sweep sw;
-    if (uniform) {
-      sw.count = it;
-      sw.refs = {ref(false, rd.base, cat(rd.pre, {jt * rd.jstep, it * rd.istep, rd.jstep}),
-                     rd.istep),
-                 ref(true, wr.base, cat(wr.pre, {jt * wr.jstep, it * wr.istep, wr.jstep}),
-                     wr.istep)};
-      push(path, op, c, {nc / jt, nr / it, jt}, {std::move(sw)});
-    } else {
-      sw.count = nr;
-      sw.refs = {ref(false, rd.base, cat(rd.pre, {rd.jstep}), rd.istep),
-                 ref(true, wr.base, cat(wr.pre, {wr.jstep}), wr.istep)};
-      push(path, op, c, {nc}, {std::move(sw)}, /*exact=*/false);
-    }
-  }
-
-  void leaf(index_t n, const std::string& path, const Ctx& c, u64 b, index_t s) {
-    const i64 se = static_cast<i64>(s) * static_cast<i64>(eb_);
-    Sweep rd{n, {ref(false, b, c.bsteps, se)}};
-    Sweep wr{n, {ref(true, b, c.bsteps, se)}};
-    push(path, "leaf sweep", c, {}, {std::move(rd), std::move(wr)});
-  }
-
-  void stockham(index_t n, const std::string& path, const Ctx& c, u64 b, index_t s, u64 arena) {
-    const i64 eb = static_cast<i64>(eb_);
-    const i64 se = static_cast<i64>(s) * eb;
-    const u64 tw = tw_on_ ? tw_base(n) : 0;
-    const std::vector<i64> z = zvec(c.loops.size());
-    struct Buf {
-      u64 base;
-      const std::vector<i64>* pre;
+    struct Run {
+      index_t count, width, start;
     };
-    Buf src{};
-    Buf dst{};
-    if (s > 1) {
-      Sweep pack{n, {ref(false, b, c.bsteps, se), ref(true, arena, z, eb)}};
-      push(path, "stockham pack", c, {}, {std::move(pack)});
-      src = {arena, &z};
-      dst = {arena + static_cast<u64>(n) * eb_, &z};
-    } else {
-      src = {b, &c.bsteps};
-      dst = {arena, &z};
-    }
-    const Buf home = src;
-    index_t half = n / 2;
-    index_t sb = 1;
-    index_t tstep = 1;
-    int k = 0;
-    while (half >= 1) {
-      Sweep sw;
-      sw.count = sb;
-      if (tw_on_) {
-        StreamRef t = ref(false, tw, cat(z, {tstep * eb}), 0);
-        t.once = true;  // one table read per p, before the q loop
-        sw.refs.push_back(std::move(t));
+    const auto runs = [](index_t m) {
+      std::vector<Run> out;
+      if (m >= kTile) out.push_back({m / kTile, kTile, 0});
+      if (m % kTile != 0) out.push_back({1, m % kTile, m / kTile * kTile});
+      return out;
+    };
+    const std::vector<Run> rows = runs(nr);
+    const bool per_tile = rows.size() > 1;
+    for (const Run& col : runs(nc)) {
+      for (index_t t = 0; t < (per_tile ? col.count : 1); ++t) {
+        const index_t j0 = col.start + t * kTile;
+        for (const Run& row : rows) {
+          const auto side = [&](const Tri& x, bool write) {
+            const u64 base = x.base + static_cast<u64>(j0 * x.jstep + row.start * x.istep);
+            return ref(write, base,
+                       cat(x.pre, {col.width * x.jstep, row.width * x.istep, x.jstep}),
+                       x.istep);
+          };
+          Sweep sw{row.width, {side(rd, false), side(wr, true)}};
+          push(path, op, c, {per_tile ? 1 : col.count, row.count, col.width}, {std::move(sw)});
+        }
       }
-      sw.refs.push_back(ref(false, src.base, cat(*src.pre, {sb * eb}), eb));
-      sw.refs.push_back(
-          ref(false, src.base + static_cast<u64>(sb) * static_cast<u64>(half) * eb_,
-              cat(*src.pre, {sb * eb}), eb));
-      sw.refs.push_back(ref(true, dst.base, cat(*dst.pre, {2 * sb * eb}), eb));
-      sw.refs.push_back(
-          ref(true, dst.base + static_cast<u64>(sb) * eb_, cat(*dst.pre, {2 * sb * eb}), eb));
-      push(path, "stockham stage " + std::to_string(k), c, {half}, {std::move(sw)});
-      std::swap(src, dst);
-      half /= 2;
-      sb *= 2;
-      tstep *= 2;
-      ++k;
-    }
-    if (src.base != home.base) {
-      Sweep cp{n, {ref(false, src.base, *src.pre, eb), ref(true, home.base, *home.pre, eb)}};
-      push(path, "stockham copy home", c, {}, {std::move(cp)});
-    }
-    if (s > 1) {
-      Sweep un{n, {ref(false, arena, z, eb), ref(true, b, c.bsteps, se)}};
-      push(path, "stockham unpack", c, {}, {std::move(un)});
     }
   }
 
-  void fft_node(const plan::Node& nd, const std::string& path, const Ctx& c, u64 b, index_t s,
-                u64 arena) {
+  i64 eb_;
+  Sink sink_;
+};
+
+/// Walks a plan tree in the executors' stage order and places each stage in
+/// the synthetic address space: data at 0, the scratch arena after it,
+/// twiddle tables above that in first-use order, all regions aligned.
+/// Stage-major (`expand` off) emits each stage once with its instances as
+/// outer loops; executor order (`expand` on) visits every instance of a
+/// child that is not a codelet leaf in turn.
+class PlanWalker {
+ public:
+  PlanWalker(Transform transform, u64 align, bool expand, PassBuilder::Sink sink)
+      : fft_(transform == Transform::fft),
+        eb_(fft_ ? sizeof(cplx) : sizeof(real_t)),
+        align_(align),
+        expand_(expand),
+        build_(eb_, std::move(sink)) {
+    DDL_REQUIRE(align_ > 0, "alignment must be positive");
+  }
+
+  void run(const plan::Node& tree) {
+    const u64 n_bytes = static_cast<u64>(tree.n) * eb_;
+    const u64 arena = aligned(n_bytes);
+    next_region_ = aligned(arena + 2 * n_bytes);
+    node(tree, "root", Ctx{}, 0, 1, arena);
+  }
+
+ private:
+  u64 aligned(u64 a) const { return (a + align_ - 1) / align_ * align_; }
+
+  u64 twiddles(index_t n) {
+    auto [it, fresh] = tw_regions_.try_emplace(n, next_region_);
+    if (fresh) next_region_ = aligned(next_region_ + static_cast<u64>(n) * eb_);
+    return it->second;
+  }
+
+  /// Run `child` over `count` instances, instance i at data base b + i*step.
+  /// `pre` is the outer-context prefix of the instances' base.
+  void instances(const plan::Node& child, const std::string& path, const Ctx& c,
+                 std::vector<i64> pre, index_t count, i64 step, u64 b, index_t s, u64 arena) {
+    if (!expand_ || (child.is_leaf() && !child.stockham)) {
+      node(child, path, Ctx{catl(c.loops, {count}), cat(std::move(pre), {step})}, b, s, arena);
+      return;
+    }
+    for (index_t i = 0; i < count; ++i) {
+      node(child, path, c, b + static_cast<u64>(i * step), s, arena);
+    }
+  }
+
+  void node(const plan::Node& nd, const std::string& path, const Ctx& c, u64 b, index_t s,
+            u64 arena) {
     if (nd.is_leaf()) {
       if (nd.stockham) {
-        stockham(nd.n, path, c, b, s, arena);
+        build_.stockham(path, c, b, nd.n, s, arena, twiddles(nd.n));
       } else {
-        leaf(nd.n, path, c, b, s);
+        build_.leaf(path, c, b, nd.n, s);
       }
       return;
     }
@@ -345,332 +372,88 @@ class Emitter {
     const index_t n1 = nd.left->n;
     const index_t n2 = nd.right->n;
     const i64 eb = static_cast<i64>(eb_);
-    const i64 se = static_cast<i64>(s) * eb;
-    const std::vector<i64> z = zvec(c.loops.size());
-
-    if (nd.ddl) {
-      transpose(path, "reorg gather", c, n1, n2, Tri{b, c.bsteps, se, static_cast<i64>(n2) * se},
-                Tri{arena, z, static_cast<i64>(n1) * eb, eb});
-      Ctx cl{catl(c.loops, {n2}), cat(z, {static_cast<i64>(n1) * eb})};
-      fft_node(*nd.left, path + ".L", cl, arena, 1, arena + static_cast<u64>(n) * eb_);
-      if (nd.fused) {
-        const u64 tw = tw_on_ ? tw_base(n) : 0;
-        Sweep sw;
-        sw.count = n1;
-        sw.refs.push_back(ref(false, arena, cat(z, {static_cast<i64>(n1) * eb}), eb));
-        if (tw_on_) {
-          StreamRef t = twref(tw, c.loops.size() + 1, n, 0, 1, 0, 0);
-          t.skip_first_outer = true;  // column 0 and element 0 carry W^0
-          t.skip_first_elem = true;
-          sw.refs.push_back(std::move(t));
-        }
-        sw.refs.push_back(ref(true, b, cat(c.bsteps, {se}), static_cast<i64>(n2) * se));
-        push(path, "twiddle scatter (fused)", c, {n2}, {std::move(sw)});
+    const i64 se = s * eb;
+    const u64 scratch = arena + static_cast<u64>(n * eb);
+    const auto left = [&] {
+      if (nd.ddl) {
+        build_.reorg(path, c, b, s, n1, n2, arena, /*gather=*/true);
+        instances(*nd.left, path + ".L", c, zvec(c.loops.size()), n2, n1 * eb, arena, 1, scratch);
       } else {
-        const u64 tw = tw_on_ ? tw_base(n) : 0;
-        Sweep sw;
-        sw.count = n1 - 1;
-        if (tw_on_) {
-          sw.refs.push_back(twref(tw, c.loops.size() + 1, n, 1, 1, 1, 1));
-        }
-        const u64 col0 = arena + static_cast<u64>(n1) * eb_ + eb_;
-        sw.refs.push_back(ref(false, col0, cat(z, {static_cast<i64>(n1) * eb}), eb));
-        sw.refs.push_back(ref(true, col0, cat(z, {static_cast<i64>(n1) * eb}), eb));
-        push(path, "twiddle columns (scratch)", c, {n2 - 1}, {std::move(sw)});
-        transpose(path, "reorg scatter", c, n1, n2,
-                  Tri{arena, z, static_cast<i64>(n1) * eb, eb},
-                  Tri{b, c.bsteps, se, static_cast<i64>(n2) * se});
+        instances(*nd.left, path + ".L", c, c.bsteps, n2, se, b, s * n2, arena);
       }
-    } else {
-      Ctx cl{catl(c.loops, {n2}), cat(c.bsteps, {se})};
-      fft_node(*nd.left, path + ".L", cl, b, s * n2, arena);
-      const u64 tw = tw_on_ ? tw_base(n) : 0;
-      Sweep sw;
-      sw.count = n2 - 1;
-      if (tw_on_) {
-        sw.refs.push_back(twref(tw, c.loops.size() + 1, n, 1, 1, 1, 1));
-      }
-      const u64 row0 = b + static_cast<u64>(n2 + 1) * static_cast<u64>(s) * eb_;
-      sw.refs.push_back(ref(false, row0, cat(c.bsteps, {static_cast<i64>(n2) * se}), se));
-      sw.refs.push_back(ref(true, row0, cat(c.bsteps, {static_cast<i64>(n2) * se}), se));
-      push(path, "twiddle rows", c, {n1 - 1}, {std::move(sw)});
-    }
+    };
+    const auto right = [&] {
+      instances(*nd.right, path + ".R", c, c.bsteps, n1, n2 * se, b, s, arena);
+    };
 
-    Ctx cr{catl(c.loops, {n1}), cat(c.bsteps, {static_cast<i64>(n2) * se})};
-    fft_node(*nd.right, path + ".R", cr, b, s, arena);
-
-    // Closing stride permutation: tiled gather into scratch + linear unpack.
-    transpose(path, "permute gather (scratch)", c, n / n2, n2,
-              Tri{b, c.bsteps, se, static_cast<i64>(n2) * se},
-              Tri{arena, z, static_cast<i64>(n / n2) * eb, eb});
-    Sweep un{n, {ref(false, arena, z, eb), ref(true, b, c.bsteps, se)}};
-    push(path, "permute unpack", c, {}, {std::move(un)});
-  }
-
-  void wht_node(const plan::Node& nd, const std::string& path, const Ctx& c, u64 b, index_t s,
-                u64 arena) {
-    if (nd.is_leaf()) {
-      leaf(nd.n, path, c, b, s);
+    if (!fft_) {  // WHT: right rows first, no twiddles, no permutation
+      right();
+      left();
+      if (nd.ddl) build_.reorg(path, c, b, s, n1, n2, arena, /*gather=*/false);
       return;
     }
-    const index_t n = nd.n;
-    const index_t n1 = nd.left->n;
-    const index_t n2 = nd.right->n;
-    const i64 eb = static_cast<i64>(eb_);
-    const i64 se = static_cast<i64>(s) * eb;
-    const std::vector<i64> z = zvec(c.loops.size());
-
-    // The WHT executor runs its right rows first.
-    Ctx cr{catl(c.loops, {n1}), cat(c.bsteps, {static_cast<i64>(n2) * se})};
-    wht_node(*nd.right, path + ".R", cr, b, s, arena);
-
-    if (nd.ddl) {
-      transpose(path, "reorg gather", c, n1, n2, Tri{b, c.bsteps, se, static_cast<i64>(n2) * se},
-                Tri{arena, z, static_cast<i64>(n1) * eb, eb});
-      Ctx cl{catl(c.loops, {n2}), cat(z, {static_cast<i64>(n1) * eb})};
-      wht_node(*nd.left, path + ".L", cl, arena, 1, arena + static_cast<u64>(n) * eb_);
-      transpose(path, "reorg scatter", c, n1, n2, Tri{arena, z, static_cast<i64>(n1) * eb, eb},
-                Tri{b, c.bsteps, se, static_cast<i64>(n2) * se});
+    left();
+    if (!nd.ddl) {
+      build_.twiddle_rows(path, c, b, n1, n2, s, twiddles(n));
+    } else if (nd.fused) {
+      build_.twiddle_scatter(path, c, b, s, n1, n2, arena, twiddles(n));
     } else {
-      Ctx cl{catl(c.loops, {n2}), cat(c.bsteps, {se})};
-      wht_node(*nd.left, path + ".L", cl, b, s * n2, arena);
+      build_.twiddle_cols(path, c, arena, n1, n2, twiddles(n));
+      build_.reorg(path, c, b, s, n1, n2, arena, /*gather=*/false);
     }
+    right();
+    build_.permute(path, c, b, s, n, n2, arena);
   }
 
+  bool fft_;
   std::size_t eb_;
-  bool tw_on_;
   u64 align_;
-  u64 arena0_ = 0;
+  bool expand_;
+  PassBuilder build_;
   u64 next_region_ = 0;
   std::map<index_t, u64> tw_regions_;
-  std::vector<AccessPass> out_;
 };
 
 }  // namespace
 
 std::vector<AccessPass> enumerate_passes(const plan::Node& tree, const AnalyzeOptions& opts) {
-  const std::size_t eb =
-      opts.elem_bytes != 0 ? opts.elem_bytes
-                           : (opts.transform == Transform::fft ? sizeof(cplx) : sizeof(real_t));
-  const bool tw_on = opts.include_twiddles && opts.transform == Transform::fft;
-  Emitter em(eb, tw_on, opts.align_bytes);
-  return em.run(tree, opts.transform);
+  std::vector<AccessPass> out;
+  PlanWalker(opts.transform, opts.align_bytes, /*expand=*/false,
+             [&out](AccessPass&& p) { out.push_back(std::move(p)); })
+      .run(tree);
+  return out;
+}
+
+void executor_passes(const plan::Node& tree, Transform transform, std::uint64_t align_bytes,
+                     const std::function<void(const AccessPass&)>& sink) {
+  PlanWalker(transform, align_bytes, /*expand=*/true, [&sink](AccessPass&& p) { sink(p); })
+      .run(tree);
 }
 
 // ---------------------------------------------------------------------------
-// Symbolic evaluation: a line-granular mirror of cache::Cache plus an exact
+// Symbolic evaluation: cache::Cache driven through the passes, plus an exact
 // steady-state loop closure.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// One cache level, transition-for-transition identical to cache::Cache
-/// (cachesim/cache.cpp) with the fully-associative shadow always on — the
-/// property suite holds the two implementations equal, access stream by
-/// access stream.
-class LevelSim {
- public:
-  explicit LevelSim(const cache::CacheConfig& cfg) : cfg_(cfg) {
-    cfg_.validate();
-    ways_ = cfg_.ways();
-    sets_ = cfg_.sets();
-    lines_.assign(sets_ * ways_, Line{});
-    if (cfg_.prefetch == cache::Prefetch::stream) {
-      streams_.assign(static_cast<std::size_t>(cfg_.stream_table), Stream{});
-    }
-  }
-
-  bool access(u64 addr, bool is_write) {
-    (void)is_write;  // write-allocate: reads and writes miss identically
-    ++st.accesses;
-    ++tick_;
-    const u64 line_addr = addr / cfg_.line_bytes;
-    const std::size_t set = static_cast<std::size_t>(line_addr) & (sets_ - 1);
-    const u64 tag = line_addr / sets_;
-    Line* set_base = lines_.data() + set * ways_;
-
-    if (cfg_.prefetch == cache::Prefetch::stream) train_streams(line_addr);
-    const bool fa_hit = shadow_touch(line_addr);
-
-    for (std::size_t w = 0; w < ways_; ++w) {
-      Line& line = set_base[w];
-      if (line.valid && line.tag == tag) {
-        if (cfg_.replacement == cache::Replacement::lru) line.stamp = tick_;
-        if (line.prefetched) {
-          line.prefetched = false;
-          ++st.prefetch_hits;
-        }
-        return true;
-      }
-    }
-
-    ++st.misses;
-    if (touched_.insert(line_addr).second) {
-      ++st.compulsory;
-    } else if (!fa_hit) {
-      ++st.capacity;
-    } else {
-      ++st.conflict;
-    }
-
-    Line* victim = set_base;
-    for (std::size_t w = 0; w < ways_; ++w) {
-      Line& line = set_base[w];
-      if (!line.valid) {
-        victim = &line;
-        break;
-      }
-      if (line.stamp < victim->stamp) victim = &line;
-    }
-    if (victim->valid) ++st.evictions;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->stamp = tick_;
-    victim->prefetched = false;
-
-    if (cfg_.prefetch == cache::Prefetch::next_line) prefetch_fill(line_addr + 1);
-    return false;
-  }
-
-  struct Line {
-    u64 tag = 0;
-    u64 stamp = 0;
-    bool valid = false;
-    bool prefetched = false;
-  };
-
-  /// Residency + recency state for the closure's shift comparison.
-  struct State {
-    std::vector<Line> lines;
-    std::vector<u64> shadow;  ///< LRU -> MRU line addresses
-  };
-
-  [[nodiscard]] State state() const {
-    return State{lines_, std::vector<u64>(shadow_lru_.begin(), shadow_lru_.end())};
-  }
-
-  [[nodiscard]] std::size_t sets() const noexcept { return sets_; }
-  [[nodiscard]] const cache::CacheConfig& config() const noexcept { return cfg_; }
-
-  LevelPrediction st;
-
- private:
-  struct Stream {
-    u64 region = 0;
-    u64 last_line = 0;
-    i64 delta = 0;
-    int confidence = 0;
-    bool valid = false;
-  };
-
-  bool shadow_touch(u64 line_addr) {
-    if (auto it = shadow_pos_.find(line_addr); it != shadow_pos_.end()) {
-      shadow_lru_.splice(shadow_lru_.end(), shadow_lru_, it->second);
-      return true;
-    }
-    shadow_pos_.emplace(line_addr, shadow_lru_.insert(shadow_lru_.end(), line_addr));
-    if (shadow_lru_.size() > cfg_.lines()) {
-      shadow_pos_.erase(shadow_lru_.front());
-      shadow_lru_.pop_front();
-    }
-    return false;
-  }
-
-  bool prefetch_fill(u64 line_addr) {
-    const std::size_t set = static_cast<std::size_t>(line_addr) & (sets_ - 1);
-    const u64 tag = line_addr / sets_;
-    Line* set_base = lines_.data() + set * ways_;
-    for (std::size_t w = 0; w < ways_; ++w) {
-      if (set_base[w].valid && set_base[w].tag == tag) return false;
-    }
-    Line* victim = set_base;
-    for (std::size_t w = 0; w < ways_; ++w) {
-      Line& line = set_base[w];
-      if (!line.valid) {
-        victim = &line;
-        break;
-      }
-      if (line.stamp < victim->stamp) victim = &line;
-    }
-    if (victim->valid) ++st.evictions;
-    victim->valid = true;
-    victim->tag = tag;
-    victim->stamp = tick_;
-    victim->prefetched = true;
-    touched_.insert(line_addr);
-    shadow_touch(line_addr);
-    ++st.prefetch_fills;
-    return true;
-  }
-
-  void train_streams(u64 line_addr) {
-    const u64 region = line_addr / static_cast<u64>(cfg_.region_lines);
-    for (auto& s : streams_) {
-      if (!s.valid || s.region != region) continue;
-      const i64 delta = static_cast<i64>(line_addr) - static_cast<i64>(s.last_line);
-      if (delta == 0) return;
-      if (delta == s.delta) {
-        if (s.confidence < 3) ++s.confidence;
-      } else {
-        s.delta = delta;
-        s.confidence = 1;
-      }
-      s.last_line = line_addr;
-      if (s.confidence >= 2) {
-        prefetch_fill(line_addr + static_cast<u64>(s.delta));
-        prefetch_fill(line_addr + 2 * static_cast<u64>(s.delta));
-      }
-      return;
-    }
-    Stream& s = streams_[stream_rr_];
-    stream_rr_ = (stream_rr_ + 1) % streams_.size();
-    s.valid = true;
-    s.region = region;
-    s.last_line = line_addr;
-    s.delta = 0;
-    s.confidence = 0;
-  }
-
-  cache::CacheConfig cfg_;
-  std::size_t sets_;
-  std::size_t ways_;
-  std::vector<Line> lines_;
-  std::vector<Stream> streams_;
-  std::size_t stream_rr_ = 0;
-  u64 tick_ = 0;
-  std::unordered_set<u64> touched_;
-  std::list<u64> shadow_lru_;
-  std::unordered_map<u64, std::list<u64>::iterator> shadow_pos_;
+/// Every counter of CacheStats, as a list of member pointers.
+constexpr std::array kCounters = {
+    &cache::CacheStats::accesses,          &cache::CacheStats::reads,
+    &cache::CacheStats::writes,            &cache::CacheStats::misses,
+    &cache::CacheStats::compulsory_misses, &cache::CacheStats::conflict_misses,
+    &cache::CacheStats::capacity_misses,   &cache::CacheStats::evictions,
+    &cache::CacheStats::prefetch_fills,    &cache::CacheStats::prefetch_hits,
 };
 
-void add_scaled(LevelPrediction& dst, const LevelPrediction& d, u64 times) {
-  dst.accesses += d.accesses * times;
-  dst.misses += d.misses * times;
-  dst.compulsory += d.compulsory * times;
-  dst.capacity += d.capacity * times;
-  dst.conflict += d.conflict * times;
-  dst.evictions += d.evictions * times;
-  dst.prefetch_fills += d.prefetch_fills * times;
-  dst.prefetch_hits += d.prefetch_hits * times;
+void add_scaled(cache::CacheStats& dst, const cache::CacheStats& d, u64 times) {
+  for (auto field : kCounters) dst.*field += d.*field * times;
 }
 
-LevelPrediction diff(const LevelPrediction& a, const LevelPrediction& b) {
-  LevelPrediction d;
-  d.accesses = a.accesses - b.accesses;
-  d.misses = a.misses - b.misses;
-  d.compulsory = a.compulsory - b.compulsory;
-  d.capacity = a.capacity - b.capacity;
-  d.conflict = a.conflict - b.conflict;
-  d.evictions = a.evictions - b.evictions;
-  d.prefetch_fills = a.prefetch_fills - b.prefetch_fills;
-  d.prefetch_hits = a.prefetch_hits - b.prefetch_hits;
+cache::CacheStats diff(const cache::CacheStats& a, const cache::CacheStats& b) {
+  cache::CacheStats d;
+  for (auto field : kCounters) d.*field = a.*field - b.*field;
   return d;
-}
-
-bool equal(const LevelPrediction& a, const LevelPrediction& b) {
-  return a.accesses == b.accesses && a.misses == b.misses && a.compulsory == b.compulsory &&
-         a.capacity == b.capacity && a.conflict == b.conflict && a.evictions == b.evictions &&
-         a.prefetch_fills == b.prefetch_fills && a.prefetch_hits == b.prefetch_hits;
 }
 
 /// Byte interval [lo, hi] a ref can reach; loop0 restricted to iteration 0
@@ -702,7 +485,6 @@ struct ClosurePlan {
   index_t warmup = 1; ///< super-iterations before the stream leaves its start
   bool has_fixed = false;
   u64 fixed_lo = 0, fixed_hi = 0;  ///< line-expanded fixed-ref interval
-  u64 shift_lo = 0, shift_hi = 0;  ///< line-expanded shifted interval (whole pass)
 };
 
 ClosurePlan closure_plan(const AccessPass& pass, const cache::CacheConfig& l1,
@@ -781,18 +563,15 @@ ClosurePlan closure_plan(const AccessPass& pass, const cache::CacheConfig& l1,
   cp.has_fixed = has_fixed;
   cp.fixed_lo = f_lo;
   cp.fixed_hi = f_hi;
-  cp.shift_lo = s_lo;
-  cp.shift_hi = s_hi;
   return cp;
 }
 
 /// Does `cur` equal `prev` translated by `step_bytes` (shifted-region lines
 /// move, fixed-region lines stay)? Compares per-set stamp-ordered residency
 /// and the shadow's LRU order — the full observable state of a level.
-bool state_shifted(const LevelSim::State& prev, const LevelSim::State& cur,
+bool state_shifted(const cache::Cache::State& prev, const cache::Cache::State& cur,
                    const cache::CacheConfig& cfg, const ClosurePlan& cp, u64 step_bytes) {
   const std::size_t sets = cfg.sets();
-  const std::size_t ways = cfg.ways();
   const u64 lb = cfg.line_bytes;
   const u64 dl = step_bytes / lb;
   auto map_line = [&](u64 la) {
@@ -803,15 +582,11 @@ bool state_shifted(const LevelSim::State& prev, const LevelSim::State& cur,
     }
     return la + dl;
   };
-  auto canon = [&](const std::vector<LevelSim::Line>& lines, bool mapped) {
+  auto canon = [&](const std::vector<std::pair<u64, u64>>& lines, bool mapped) {
     std::vector<std::vector<std::pair<u64, u64>>> per_set(sets);
-    for (std::size_t s = 0; s < sets; ++s) {
-      for (std::size_t w = 0; w < ways; ++w) {
-        const LevelSim::Line& ln = lines[s * ways + w];
-        if (!ln.valid) continue;
-        const u64 la = mapped ? map_line(ln.tag * sets + s) : ln.tag * sets + s;
-        per_set[static_cast<std::size_t>(la) & (sets - 1)].push_back({ln.stamp, la});
-      }
+    for (const auto& [line, stamp] : lines) {
+      const u64 la = mapped ? map_line(line) : line;
+      per_set[static_cast<std::size_t>(la) & (sets - 1)].push_back({stamp, la});
     }
     for (auto& v : per_set) std::sort(v.begin(), v.end());
     return per_set;
@@ -833,28 +608,36 @@ bool state_shifted(const LevelSim::State& prev, const LevelSim::State& cur,
 
 }  // namespace
 
-PassPrediction predict_pass(const AccessPass& pass, const cache::CacheConfig& l1,
-                            const cache::CacheConfig* l2, bool enable_closure) {
-  for (const Sweep& sw : pass.sweeps) {
-    for (const StreamRef& r : sw.refs) {
-      DDL_REQUIRE(r.loop_step.size() == pass.loops.size(), "ref/loop arity mismatch");
-      DDL_REQUIRE(r.mod_n == 0 || (r.mul_loop.size() == pass.loops.size() &&
-                                   r.off_loop.size() == pass.loops.size()),
-                  "modular ref/loop arity mismatch");
-    }
-  }
-  LevelSim sim1(l1);
-  std::unique_ptr<LevelSim> sim2;
-  if (l2 != nullptr) sim2 = std::make_unique<LevelSim>(*l2);
-  const auto touch = [&](u64 addr, bool w) {
-    if (!sim1.access(addr, w) && sim2) sim2->access(addr, w);
+PassPrediction predict_stage(std::span<const AccessPass> stage, const cache::CacheConfig& l1,
+                             const cache::CacheConfig* l2, bool enable_closure) {
+  for (const AccessPass& pass : stage) validate_pass(pass);
+  // The evaluator always splits capacity from conflict misses.
+  const auto classified = [](cache::CacheConfig cfg) {
+    cfg.split_remiss = true;
+    return cfg;
   };
+  cache::Cache c1(classified(l1));
+  std::optional<cache::Cache> c2;
+  if (l2 != nullptr) c2.emplace(classified(*l2));
+  const auto touch = [&](u64 addr, bool w) {
+    if (!c1.access(addr, w) && c2) c2->access(addr, w);
+  };
+  const auto stats2 = [&] { return c2 ? c2->stats() : cache::CacheStats{}; };
 
   PassPrediction out;
-  out.bytes_moved = pass.bytes_touched();
+  for (const AccessPass& pass : stage) out.bytes_moved += pass.bytes_touched();
+  if (stage.size() != 1) {
+    for (const AccessPass& pass : stage) walk_pass(pass, touch);
+    out.l1 = c1.stats();
+    out.l2 = stats2();
+    return out;
+  }
+  const AccessPass& pass = stage.front();
   const index_t c0 = pass.loops.empty() ? 1 : pass.loops[0];
   if (c0 <= 0) return out;
 
+  // Counts the closure extrapolates past the walked iterations.
+  cache::CacheStats extra1, extra2;
   const ClosurePlan cp = enable_closure ? closure_plan(pass, l1, l2) : ClosurePlan{};
   index_t walked = 0;  // plain loop0 iterations consumed
   if (cp.ok) {
@@ -862,35 +645,34 @@ PassPrediction predict_pass(const AccessPass& pass, const cache::CacheConfig& l1
     const u64 step_bytes = static_cast<u64>(cp.shift) * static_cast<u64>(cp.block);
     const u64 dg = step_bytes / gran;
     const index_t total_super = c0 / cp.block;
-    LevelSim::State prev1, prev2;
-    LevelPrediction pd1, pd2;  // previous super-iteration's deltas
+    cache::Cache::State prev1, prev2;
+    cache::CacheStats pd1, pd2;  // previous super-iteration's deltas
     std::vector<u64> prev_set;
-    std::vector<LevelPrediction> plain1, plain2;  // per-plain deltas, last super
+    std::vector<cache::CacheStats> plain1, plain2;  // per-plain deltas, last super
     bool have_prev = false;
     for (index_t t = 0; t < total_super; ++t) {
       std::unordered_set<u64> touched_now;
-      const LevelPrediction b1 = sim1.st;
-      const LevelPrediction b2 = sim2 ? sim2->st : LevelPrediction{};
+      const cache::CacheStats b1 = c1.stats();
+      const cache::CacheStats b2 = stats2();
       plain1.clear();
       plain2.clear();
-      LevelPrediction p1 = b1, p2 = b2;
       for (index_t i = 0; i < cp.block; ++i) {
+        const cache::CacheStats p1 = c1.stats();
+        const cache::CacheStats p2 = stats2();
         walk_iters(pass, t * cp.block + i, t * cp.block + i + 1, [&](u64 addr, bool w) {
           touched_now.insert(addr / gran);
           touch(addr, w);
         });
-        plain1.push_back(diff(sim1.st, p1));
-        plain2.push_back(diff(sim2 ? sim2->st : LevelPrediction{}, p2));
-        p1 = sim1.st;
-        p2 = sim2 ? sim2->st : LevelPrediction{};
+        plain1.push_back(diff(c1.stats(), p1));
+        plain2.push_back(diff(stats2(), p2));
       }
       walked = (t + 1) * cp.block;
-      const LevelPrediction d1 = diff(sim1.st, b1);
-      const LevelPrediction d2 = diff(sim2 ? sim2->st : LevelPrediction{}, b2);
+      const cache::CacheStats d1 = diff(c1.stats(), b1);
+      const cache::CacheStats d2 = diff(stats2(), b2);
       std::vector<u64> cur_set(touched_now.begin(), touched_now.end());
       std::sort(cur_set.begin(), cur_set.end());
 
-      bool close = have_prev && t >= cp.warmup && equal(d1, pd1) && equal(d2, pd2) &&
+      bool close = have_prev && t >= cp.warmup && d1 == pd1 && d2 == pd2 &&
                    cur_set.size() == prev_set.size();
       if (close) {
         for (std::size_t i = 0; i < cur_set.size() && close; ++i) {
@@ -901,37 +683,49 @@ PassPrediction predict_pass(const AccessPass& pass, const cache::CacheConfig& l1
           close = mapped == cur_set[i];
         }
       }
-      if (close) close = state_shifted(prev1, sim1.state(), l1, cp, step_bytes);
-      if (close && sim2) close = state_shifted(prev2, sim2->state(), *l2, cp, step_bytes);
+      if (close) close = state_shifted(prev1, c1.state(), l1, cp, step_bytes);
+      if (close && c2) close = state_shifted(prev2, c2->state(), *l2, cp, step_bytes);
       if (close) {
         // Everything from here on is a translated replay: extrapolate the
         // remaining full super-iterations, then the leftover plain
         // iterations from the recorded per-iteration deltas.
         const u64 rest = static_cast<u64>(total_super - 1 - t);
-        add_scaled(sim1.st, d1, rest);
-        if (sim2) add_scaled(sim2->st, d2, rest);
-        const index_t rem = c0 % cp.block;
-        for (index_t i = 0; i < rem; ++i) {
-          add_scaled(sim1.st, plain1[static_cast<std::size_t>(i)], 1);
-          if (sim2) add_scaled(sim2->st, plain2[static_cast<std::size_t>(i)], 1);
+        add_scaled(extra1, d1, rest);
+        add_scaled(extra2, d2, rest);
+        for (index_t i = 0; i < c0 % cp.block; ++i) {
+          add_scaled(extra1, plain1[static_cast<std::size_t>(i)], 1);
+          add_scaled(extra2, plain2[static_cast<std::size_t>(i)], 1);
         }
         walked = c0;
         out.closed_form = true;
         break;
       }
-      prev1 = sim1.state();
-      if (sim2) prev2 = sim2->state();
+      prev1 = c1.state();
+      if (c2) prev2 = c2->state();
       pd1 = d1;
       pd2 = d2;
       prev_set = std::move(cur_set);
       have_prev = true;
     }
   }
-  if (walked < c0) {
-    walk_iters(pass, walked, c0, touch);
+  if (walked < c0) walk_iters(pass, walked, c0, touch);
+  out.l1 = c1.stats();
+  out.l2 = stats2();
+  add_scaled(out.l1, extra1, 1);
+  add_scaled(out.l2, extra2, 1);
+  return out;
+}
+
+std::vector<std::span<const AccessPass>> stage_runs(std::span<const AccessPass> passes) {
+  std::vector<std::span<const AccessPass>> out;
+  std::size_t begin = 0;
+  for (std::size_t i = 1; i <= passes.size(); ++i) {
+    if (i == passes.size() || passes[i].node_path != passes[begin].node_path ||
+        passes[i].op != passes[begin].op) {
+      out.push_back(passes.subspan(begin, i - begin));
+      begin = i;
+    }
   }
-  out.l1 = sim1.st;
-  if (sim2) out.l2 = sim2->st;
   return out;
 }
 
@@ -945,10 +739,13 @@ CacheReport analyze_plan(const plan::Node& tree, const AnalyzeOptions& opts) {
   if (l2p != nullptr) l2p->validate();
 
   CacheReport rep;
-  for (AccessPass& pass : enumerate_passes(tree, opts)) {
+  const std::vector<AccessPass> passes = enumerate_passes(tree, opts);
+  for (const std::span<const AccessPass> run : stage_runs(passes)) {
     StagePrediction sp;
-    sp.predict = predict_pass(pass, opts.l1, l2p);
-    sp.pass = std::move(pass);
+    sp.node_path = run.front().node_path;
+    sp.op = run.front().op;
+    sp.passes.assign(run.begin(), run.end());
+    sp.predict = predict_stage(run, opts.l1, l2p);
     add_scaled(rep.total_l1, sp.predict.l1, 1);
     add_scaled(rep.total_l2, sp.predict.l2, 1);
     rep.bytes_moved += sp.predict.bytes_moved;
@@ -964,12 +761,12 @@ CacheReport analyze_plan(const plan::Node& tree, const AnalyzeOptions& opts) {
     sc.op = st.op;
     const auto has_pass_at = [&](const std::string& prefix) {
       return std::any_of(rep.stages.begin(), rep.stages.end(), [&](const StagePrediction& sp) {
-        return sp.pass.node_path.compare(0, prefix.size(), prefix) == 0;
+        return sp.node_path.compare(0, prefix.size(), prefix) == 0;
       });
     };
     const bool direct =
         std::any_of(rep.stages.begin(), rep.stages.end(), [&](const StagePrediction& sp) {
-          return sp.pass.node_path == st.node_path && sp.pass.op == st.op;
+          return sp.node_path == st.node_path && sp.op == st.op;
         });
     if (direct) {
       sc.status = Coverage::modeled;
@@ -994,202 +791,37 @@ CacheReport analyze_plan(const plan::Node& tree, const AnalyzeOptions& opts) {
 // Planning oracle: per-CostKey passes, fitted time model
 // ---------------------------------------------------------------------------
 
-namespace {
-
-constexpr std::size_t kCplx = sizeof(cplx);
-constexpr std::size_t kReal = sizeof(real_t);
-
-StreamRef prim_ref(bool write, u64 base, std::vector<i64> steps, i64 estep, std::size_t width) {
-  StreamRef r;
-  r.write = write;
-  r.base = base;
-  r.loop_step = std::move(steps);
-  r.elem_step = estep;
-  r.width = static_cast<std::uint32_t>(width);
-  return r;
-}
-
-AccessPass prim_pass(const char* op, std::vector<index_t> loops, std::vector<Sweep> sweeps) {
-  AccessPass p;
-  p.node_path = "primitive";
-  p.op = op;
-  p.loops = std::move(loops);
-  p.sweeps = std::move(sweeps);
-  return p;
-}
-
-/// Probe-shaped leaf sweep: `count` successive sub-transforms, consecutive
-/// base offsets when strided, consecutive blocks at unit stride (mirrors
-/// sim::simulate_leaf_sweep and the simulated oracle's leaf probe).
-std::vector<AccessPass> leaf_prim(index_t n, index_t s, index_t count, std::size_t eb) {
-  const i64 ebi = static_cast<i64>(eb);
-  const i64 bstep = s > 1 ? ebi : static_cast<i64>(n) * ebi;
-  const i64 estep = static_cast<i64>(s > 1 ? s : 1) * ebi;
-  Sweep rd{n, {prim_ref(false, 0, {bstep}, estep, eb)}};
-  Sweep wr{n, {prim_ref(true, 0, {bstep}, estep, eb)}};
-  return {prim_pass("leaf sweep", {count}, {std::move(rd), std::move(wr)})};
-}
-
-StreamRef prim_twref(u64 base, index_t n, i64 mul0, i64 mul1, i64 off0, i64 off1,
-                     std::size_t eb) {
-  StreamRef r = prim_ref(false, base, {0}, 0, eb);
-  r.mod_n = static_cast<u64>(n);
-  r.mod_scale = eb;
-  r.mul0 = mul0;
-  r.off0 = off0;
-  r.mul_loop = {mul1};
-  r.off_loop = {off1};
-  return r;
-}
-
-/// Tiled transpose at fixed addresses (mirrors the simulated oracle's reorg
-/// and perm tiling: kTile x kTile blocks, ragged edge flattened).
-AccessPass prim_transpose(const char* op, index_t nr, index_t nc, u64 rd_base, i64 rd_j,
-                          i64 rd_i, u64 wr_base, i64 wr_j, i64 wr_i, std::size_t eb) {
-  const index_t jt = std::min<index_t>(kTile, nc);
-  const index_t it = std::min<index_t>(kTile, nr);
-  Sweep sw;
-  if (nc % jt == 0 && nr % it == 0) {
-    sw.count = it;
-    sw.refs = {prim_ref(false, rd_base, {jt * rd_j, it * rd_i, rd_j}, rd_i, eb),
-               prim_ref(true, wr_base, {jt * wr_j, it * wr_i, wr_j}, wr_i, eb)};
-    return prim_pass(op, {nc / jt, nr / it, jt}, {std::move(sw)});
-  }
-  sw.count = nr;
-  sw.refs = {prim_ref(false, rd_base, {rd_j}, rd_i, eb),
-             prim_ref(true, wr_base, {wr_j}, wr_i, eb)};
-  AccessPass p = prim_pass(op, {nc}, {std::move(sw)});
-  p.exact_order = false;
-  return p;
-}
-
-std::vector<AccessPass> stockham_prim(index_t n, index_t s) {
-  const i64 eb = static_cast<i64>(kCplx);
-  const u64 buf0 = static_cast<u64>(n) * static_cast<u64>(s) * kCplx;
-  const u64 buf1 = buf0 + static_cast<u64>(n) * kCplx;
-  const u64 tw = buf1 + static_cast<u64>(n) * kCplx;
+std::vector<AccessPass> primitive_passes(const plan::CostKey& key) {
+  const std::string& k = key.kind;
+  const u64 eb = k == "wht_leaf" || k == "wht_reorg" ? sizeof(real_t) : sizeof(cplx);
   std::vector<AccessPass> out;
-  u64 src = buf0;
-  u64 dst = buf1;
-  if (s > 1) {
-    Sweep pack{n, {prim_ref(false, 0, {}, static_cast<i64>(s) * eb, kCplx),
-                   prim_ref(true, buf0, {}, eb, kCplx)}};
-    out.push_back(prim_pass("stockham pack", {}, {std::move(pack)}));
-  } else {
-    src = 0;
-    dst = buf0;
-  }
-  const u64 home = src;
-  index_t half = n / 2;
-  index_t sb = 1;
-  index_t tstep = 1;
-  while (half >= 1) {
-    Sweep sw;
-    sw.count = sb;
-    StreamRef t = prim_ref(false, tw, {tstep * eb}, 0, kCplx);
-    t.once = true;
-    sw.refs.push_back(std::move(t));
-    sw.refs.push_back(prim_ref(false, src, {sb * eb}, eb, kCplx));
-    sw.refs.push_back(prim_ref(
-        false, src + static_cast<u64>(sb) * static_cast<u64>(half) * kCplx, {sb * eb}, eb, kCplx));
-    sw.refs.push_back(prim_ref(true, dst, {2 * sb * eb}, eb, kCplx));
-    sw.refs.push_back(prim_ref(true, dst + static_cast<u64>(sb) * kCplx, {2 * sb * eb}, eb, kCplx));
-    out.push_back(prim_pass("stockham stage", {half}, {std::move(sw)}));
-    std::swap(src, dst);
-    half /= 2;
-    sb *= 2;
-    tstep *= 2;
-  }
-  if (src != home) {
-    Sweep cp{n, {prim_ref(false, src, {}, eb, kCplx), prim_ref(true, home, {}, eb, kCplx)}};
-    out.push_back(prim_pass("stockham copy home", {}, {std::move(cp)}));
-  }
-  if (s > 1) {
-    Sweep un{n, {prim_ref(false, buf0, {}, eb, kCplx),
-                 prim_ref(true, 0, {}, static_cast<i64>(s) * eb, kCplx)}};
-    out.push_back(prim_pass("stockham unpack", {}, {std::move(un)}));
+  PassBuilder build(eb, [&out](AccessPass&& p) { out.push_back(std::move(p)); });
+  const std::string path = "primitive";
+  const index_t a = key.a;
+  const index_t b = key.b;
+  const index_t s = key.c;
+  const auto bytes = [eb](index_t elems) { return static_cast<u64>(elems) * eb; };
+  if (k == "dft_leaf" || k == "wht_leaf") {  // (n, stride)
+    // Consecutive base offsets for strided leaves, consecutive blocks at
+    // unit stride, as the wall-clock probe runs them.
+    const Ctx probe{{kLeafProbeCount}, {static_cast<i64>(bytes(b > 1 ? 1 : a))}};
+    build.leaf(path, probe, 0, a, std::max<index_t>(b, 1));
+  } else if (k == "tw_rows") {  // (n, n2, stride)
+    build.twiddle_rows(path, {}, 0, a / b, b, s, bytes(a * s));
+  } else if (k == "tw_cols") {  // (n, n2)
+    build.twiddle_cols(path, {}, 0, a / b, b, bytes(a));
+  } else if (k == "perm") {  // (n, m, stride)
+    build.permute(path, {}, 0, s, a, b, bytes(a * s));
+  } else if (k == "reorg" || k == "reorg_g" || k == "wht_reorg") {
+    // (n1, n2, stride): the gather, then the scatter unless gather-only.
+    build.reorg(path, {}, 0, s, a, b, bytes(a * b * s), /*gather=*/true);
+    if (k != "reorg_g") build.reorg(path, {}, 0, s, a, b, bytes(a * b * s), /*gather=*/false);
+  } else if (k == "fused_tws") {  // (n1, n2, stride)
+    build.twiddle_scatter(path, {}, 0, s, a, b, bytes(a * b * s), bytes(a * b * s + a * b));
+  } else if (k == "stockham") {  // (n, stride): two arena buffers, then the table
+    build.stockham(path, {}, 0, a, b, bytes(a * b), bytes(a * b + 2 * a));
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<AccessPass> primitive_passes(const plan::CostKey& key, std::uint64_t align_bytes,
-                                         index_t sweep_count) {
-  (void)align_bytes;  // primitive layouts are packed, as in the sim oracle
-  const std::string& k = key.kind;
-  const i64 eb = static_cast<i64>(kCplx);
-  if (k == "dft_leaf") return leaf_prim(key.a, key.b, sweep_count, kCplx);
-  if (k == "wht_leaf") return leaf_prim(key.a, key.b, sweep_count, kReal);
-  if (k == "tw_rows") {
-    const index_t n = key.a, n2 = key.b, s = key.c;
-    const index_t n1 = n / n2;
-    const i64 se = static_cast<i64>(s) * eb;
-    Sweep sw;
-    sw.count = n2 - 1;
-    sw.refs.push_back(
-        prim_twref(static_cast<u64>(n) * static_cast<u64>(s) * kCplx, n, 1, 1, 1, 1, kCplx));
-    const u64 row0 = static_cast<u64>(n2 + 1) * static_cast<u64>(s) * kCplx;
-    sw.refs.push_back(prim_ref(false, row0, {static_cast<i64>(n2) * se}, se, kCplx));
-    sw.refs.push_back(prim_ref(true, row0, {static_cast<i64>(n2) * se}, se, kCplx));
-    return {prim_pass("twiddle rows", {n1 - 1}, {std::move(sw)})};
-  }
-  if (k == "tw_cols") {
-    const index_t n = key.a, n2 = key.b;
-    const index_t n1 = n / n2;
-    Sweep sw;
-    sw.count = n1 - 1;
-    sw.refs.push_back(prim_twref(static_cast<u64>(n) * kCplx, n, 1, 1, 1, 1, kCplx));
-    const u64 col0 = static_cast<u64>(n1 + 1) * kCplx;
-    sw.refs.push_back(prim_ref(false, col0, {static_cast<i64>(n1) * eb}, eb, kCplx));
-    sw.refs.push_back(prim_ref(true, col0, {static_cast<i64>(n1) * eb}, eb, kCplx));
-    return {prim_pass("twiddle columns (scratch)", {n2 - 1}, {std::move(sw)})};
-  }
-  if (k == "perm") {
-    const index_t n = key.a, m = key.b, s = key.c;
-    const i64 se = static_cast<i64>(s) * eb;
-    const u64 scratch = static_cast<u64>(n) * static_cast<u64>(s) * kCplx;
-    const index_t rows = n / m;
-    std::vector<AccessPass> out;
-    out.push_back(prim_transpose("permute gather (scratch)", rows, m, 0, se,
-                                 static_cast<i64>(m) * se, scratch, static_cast<i64>(rows) * eb,
-                                 eb, kCplx));
-    Sweep un{n, {prim_ref(false, scratch, {}, eb, kCplx), prim_ref(true, 0, {}, se, kCplx)}};
-    out.push_back(prim_pass("permute unpack", {}, {std::move(un)}));
-    return out;
-  }
-  if (k == "reorg" || k == "reorg_g" || k == "wht_reorg") {
-    const index_t n1 = key.a, n2 = key.b, s = key.c;
-    const std::size_t w = k == "wht_reorg" ? kReal : kCplx;
-    const i64 ew = static_cast<i64>(w);
-    const i64 se = static_cast<i64>(s) * ew;
-    const u64 scratch = static_cast<u64>(n1) * static_cast<u64>(n2) * static_cast<u64>(s) * w;
-    std::vector<AccessPass> out;
-    out.push_back(prim_transpose("reorg gather", n1, n2, 0, se, static_cast<i64>(n2) * se,
-                                 scratch, static_cast<i64>(n1) * ew, ew, w));
-    if (k != "reorg_g") {
-      out.push_back(prim_transpose("reorg scatter", n1, n2, scratch, static_cast<i64>(n1) * ew,
-                                   ew, 0, se, static_cast<i64>(n2) * se, w));
-    }
-    return out;
-  }
-  if (k == "fused_tws") {
-    const index_t n1 = key.a, n2 = key.b, s = key.c;
-    const index_t n = n1 * n2;
-    const i64 se = static_cast<i64>(s) * eb;
-    const u64 scratch = static_cast<u64>(n) * static_cast<u64>(s) * kCplx;
-    Sweep sw;
-    sw.count = n1;
-    sw.refs.push_back(prim_ref(false, scratch, {static_cast<i64>(n1) * eb}, eb, kCplx));
-    StreamRef t = prim_twref(scratch + static_cast<u64>(n) * kCplx, n, 0, 1, 0, 0, kCplx);
-    t.skip_first_outer = true;
-    t.skip_first_elem = true;
-    sw.refs.push_back(std::move(t));
-    sw.refs.push_back(prim_ref(true, 0, {se}, static_cast<i64>(n2) * se, kCplx));
-    return {prim_pass("twiddle scatter (fused)", {n2}, {std::move(sw)})};
-  }
-  if (k == "stockham") return stockham_prim(key.a, key.b);
-  return {};
 }
 
 double primitive_flops(const plan::CostKey& key) {
@@ -1215,17 +847,17 @@ double primitive_flops(const plan::CostKey& key) {
 PrimitivePrediction predict_primitive(const plan::CostKey& key, const cache::CacheConfig& l1,
                                       const cache::CacheConfig& l2) {
   PrimitivePrediction pp;
-  const index_t sweep = 64;
   const cache::CacheConfig* l2p = l2.size_bytes > 0 ? &l2 : nullptr;
-  for (const AccessPass& pass : primitive_passes(key, 64, sweep)) {
-    const PassPrediction pr = predict_pass(pass, l1, l2p);
+  const std::vector<AccessPass> passes = primitive_passes(key);
+  for (const std::span<const AccessPass> stage : stage_runs(passes)) {
+    const PassPrediction pr = predict_stage(stage, l1, l2p);
     pp.l1_misses += pr.l1.misses;
     pp.l2_misses += pr.l2.misses;
   }
   if (key.kind == "dft_leaf" || key.kind == "wht_leaf") {
-    // The probe protocol times `sweep` sub-transforms and averages.
-    pp.l1_misses /= static_cast<u64>(sweep);
-    pp.l2_misses /= static_cast<u64>(sweep);
+    // The probe protocol times kLeafProbeCount sub-transforms and averages.
+    pp.l1_misses /= static_cast<u64>(kLeafProbeCount);
+    pp.l2_misses /= static_cast<u64>(kLeafProbeCount);
   }
   return pp;
 }

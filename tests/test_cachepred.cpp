@@ -1,11 +1,11 @@
 // Property suite for the symbolic cache-miss analyzer (verify::cachepred).
 //
-// The central contract: predict_pass is the cache simulator's transition
-// function evaluated symbolically, so for EVERY pass the plan emitter
-// produces and EVERY tested geometry, the prediction must equal a replay of
-// the same pass through the real cache::Cache — exactly, field by field,
-// prefetchers and eviction counts included. The steady-state loop closure
-// must be invisible: closure-on and closure-off predictions are identical.
+// The central contract: predict_stage drives the cache simulator through a
+// stage's passes, so for EVERY stage the plan emitter produces and EVERY
+// tested geometry, the prediction must equal a replay of the same passes
+// through one real cache::Cache — exactly, field by field, prefetchers and
+// eviction counts included. The steady-state loop closure must be
+// invisible: closure-on and closure-off predictions are identical.
 //
 // On top of that: structural exactness against the trace-driven simulator
 // (per-pass access counts sum to exactly what FftTracer/WhtTracer issue),
@@ -14,7 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,7 +61,11 @@ std::vector<NamedConfig> property_configs() {
   return out;
 }
 
-/// Plan shapes the sweep covers, per transform size.
+/// Plan shapes the sweep covers, per transform size. The non-power-of-two
+/// trees ride along with the 1024 and 4096 groups: their transposes are
+/// ragged (extents not multiples of the 16x16 tile) in rows, columns or
+/// both, at the root and under instance loops, so their stages are runs of
+/// several passes.
 std::vector<std::pair<std::string, plan::TreePtr>> property_trees(index_t n) {
   std::vector<std::pair<std::string, plan::TreePtr>> out;
   out.emplace_back("rightmost", fft::rightmost_tree(n, 32));
@@ -69,36 +76,48 @@ std::vector<std::pair<std::string, plan::TreePtr>> property_trees(index_t n) {
   if (n == 4096) out.emplace_back("fused", plan::parse_tree("ctddlf(16,ct(16,16))"));
   out.emplace_back("stockham", plan::parse_tree("st(" + std::to_string(n) + ")"));
   if (n == 1024) out.emplace_back("embedded-stockham", plan::parse_tree("ct(st(64),16)"));
+  if (n == 1024) out.emplace_back("ragged-fused", plan::parse_tree("ctddlf(24,ct(9,5))"));
+  if (n == 4096) {
+    out.emplace_back("ragged-nested", plan::parse_tree("ctddl(ct(12,20),ctddlf(24,5))"));
+  }
   return out;
 }
 
-void expect_level_eq(const LevelPrediction& p, const cache::CacheStats& s,
+void expect_level_eq(const cache::CacheStats& p, const cache::CacheStats& s,
                      const std::string& label) {
   EXPECT_EQ(p.accesses, s.accesses) << label;
+  EXPECT_EQ(p.reads, s.reads) << label;
+  EXPECT_EQ(p.writes, s.writes) << label;
   EXPECT_EQ(p.misses, s.misses) << label;
-  EXPECT_EQ(p.compulsory, s.compulsory_misses) << label;
-  EXPECT_EQ(p.capacity, s.capacity_misses) << label;
-  EXPECT_EQ(p.conflict, s.conflict_misses) << label;
+  EXPECT_EQ(p.compulsory_misses, s.compulsory_misses) << label;
+  EXPECT_EQ(p.capacity_misses, s.capacity_misses) << label;
+  EXPECT_EQ(p.conflict_misses, s.conflict_misses) << label;
   EXPECT_EQ(p.evictions, s.evictions) << label;
   EXPECT_EQ(p.prefetch_fills, s.prefetch_fills) << label;
   EXPECT_EQ(p.prefetch_hits, s.prefetch_hits) << label;
 }
 
-/// The core property: symbolic prediction == trace replay, exactly.
-void expect_predict_equals_replay(const AccessPass& pass, const cache::CacheConfig& l1,
+std::string stage_label(const std::string& prefix, std::span<const AccessPass> stage) {
+  return prefix + "/" + stage.front().node_path + ":" + stage.front().op;
+}
+
+/// The core property: the prediction of a stage == a replay of the stage's
+/// passes through one cold cache, exactly.
+void expect_predict_equals_replay(std::span<const AccessPass> stage, const cache::CacheConfig& l1,
                                   const cache::CacheConfig* l2, const std::string& label) {
-  const PassPrediction pred = predict_pass(pass, l1, l2);
+  const PassPrediction pred = predict_stage(stage, l1, l2);
 
   cache::Cache c1(l1);
-  if (l2 != nullptr) {
-    cache::Cache c2(*l2);
-    sim::replay_pass(pass, c1, &c2);
-    expect_level_eq(pred.l2, c2.stats(), label + " [L2]");
-  } else {
-    sim::replay_pass(pass, c1, nullptr);
+  std::optional<cache::Cache> c2;
+  if (l2 != nullptr) c2.emplace(*l2);
+  std::uint64_t bytes = 0;
+  for (const AccessPass& pass : stage) {
+    sim::replay_pass(pass, c1, c2 ? &*c2 : nullptr);
+    bytes += pass.bytes_touched();
   }
   expect_level_eq(pred.l1, c1.stats(), label + " [L1]");
-  EXPECT_EQ(pred.bytes_moved, pass.bytes_touched()) << label;
+  if (c2) expect_level_eq(pred.l2, c2->stats(), label + " [L2]");
+  EXPECT_EQ(pred.bytes_moved, bytes) << label;
 }
 
 TEST(PredictVsReplay, ExactForEveryPassShapeAndGeometry) {
@@ -108,10 +127,9 @@ TEST(PredictVsReplay, ExactForEveryPassShapeAndGeometry) {
       const auto passes = enumerate_passes(*tree);
       ASSERT_FALSE(passes.empty()) << tree_name;
       for (const auto& cfg : configs) {
-        for (const auto& pass : passes) {
-          const std::string label = tree_name + "/" + std::to_string(n) + "/" + cfg.name +
-                                    "/" + pass.node_path + ":" + pass.op;
-          expect_predict_equals_replay(pass, cfg.cfg, nullptr, label);
+        for (const auto stage : stage_runs(passes)) {
+          const std::string prefix = tree_name + "/" + std::to_string(n) + "/" + cfg.name;
+          expect_predict_equals_replay(stage, cfg.cfg, nullptr, stage_label(prefix, stage));
         }
       }
     }
@@ -126,10 +144,10 @@ TEST(PredictVsReplay, ExactThroughTwoLevelHierarchy) {
   l2.split_remiss = true;
   for (const index_t n : {index_t{1024}, index_t{4096}}) {
     for (const auto& [tree_name, tree] : property_trees(n)) {
-      for (const auto& pass : enumerate_passes(*tree)) {
-        const std::string label =
-            tree_name + "/" + std::to_string(n) + "/" + pass.node_path + ":" + pass.op;
-        expect_predict_equals_replay(pass, l1, &l2, label);
+      const auto passes = enumerate_passes(*tree);
+      for (const auto stage : stage_runs(passes)) {
+        expect_predict_equals_replay(stage, l1, &l2,
+                                     stage_label(tree_name + "/" + std::to_string(n), stage));
       }
     }
   }
@@ -142,11 +160,50 @@ TEST(PredictVsReplay, WhtPassesMatchToo) {
   opts.transform = Transform::wht;
   for (const index_t n : {index_t{1024}, index_t{4096}}) {
     const auto tree = wht::balanced_wht_tree(n, 64, 512);
-    for (const auto& pass : enumerate_passes(*tree, opts)) {
-      expect_predict_equals_replay(pass, cfg, nullptr,
-                                   "wht/" + std::to_string(n) + "/" + pass.op);
+    const auto passes = enumerate_passes(*tree, opts);
+    for (const auto stage : stage_runs(passes)) {
+      expect_predict_equals_replay(stage, cfg, nullptr,
+                                   stage_label("wht/" + std::to_string(n), stage));
     }
   }
+}
+
+TEST(PredictVsReplay, RaggedTransposesAreRunsOfPassesInTileOrder) {
+  // ctddlf(24, ct(9,5)): the root gather is 24 x 45, ragged in both
+  // extents (16 + 8 rows, 32 + 13 columns). Rows interleave full and
+  // ragged tiles inside every column tile, so each of the three column
+  // tiles is a pair of passes. Walked in order, the run must issue
+  // layout::transpose_gather's 16x16 tile order exactly.
+  const index_t n1 = 24, n2 = 45;
+  const auto passes = enumerate_passes(*plan::parse_tree("ctddlf(24,ct(9,5))"));
+  const auto stages = stage_runs(passes);
+  const auto gather = std::find_if(stages.begin(), stages.end(), [](const auto& st) {
+    return st.front().node_path == "root" && st.front().op == "reorg gather";
+  });
+  ASSERT_NE(gather, stages.end());
+  EXPECT_EQ(gather->size(), 6u);
+
+  std::vector<std::pair<std::uint64_t, bool>> walked;
+  for (const AccessPass& pass : *gather) {
+    walk_pass(pass, [&](std::uint64_t addr, bool w) { walked.emplace_back(addr, w); });
+  }
+  const std::uint64_t eb = sizeof(cplx);
+  const std::uint64_t arena = n1 * n2 * eb;  // already 64-byte aligned
+  std::vector<std::pair<std::uint64_t, bool>> tiled;
+  for (index_t jb = 0; jb < n2; jb += 16) {
+    for (index_t ib = 0; ib < n1; ib += 16) {
+      for (index_t j = jb; j < std::min<index_t>(jb + 16, n2); ++j) {
+        for (index_t i = ib; i < std::min<index_t>(ib + 16, n1); ++i) {
+          tiled.emplace_back((i * n2 + j) * eb, false);
+          tiled.emplace_back(arena + (j * n1 + i) * eb, true);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(walked, tiled);
+
+  const cache::CacheConfig dm{.size_bytes = 512, .line_bytes = 64, .associativity = 1};
+  EXPECT_FALSE(predict_stage(*gather, dm).closed_form);  // closure: single-pass stages only
 }
 
 TEST(Closure, ClosedFormMatchesFullWalk) {
@@ -156,18 +213,13 @@ TEST(Closure, ClosedFormMatchesFullWalk) {
   const auto configs = property_configs();
   for (const index_t n : {index_t{1024}, index_t{4096}}) {
     for (const auto& [tree_name, tree] : property_trees(n)) {
+      const auto passes = enumerate_passes(*tree);
       for (const auto& cfg : configs) {
-        for (const auto& pass : enumerate_passes(*tree)) {
-          const PassPrediction fast = predict_pass(pass, cfg.cfg, nullptr, true);
-          const PassPrediction slow = predict_pass(pass, cfg.cfg, nullptr, false);
-          const std::string label =
-              tree_name + "/" + std::to_string(n) + "/" + cfg.name + "/" + pass.op;
-          EXPECT_EQ(fast.l1.accesses, slow.l1.accesses) << label;
-          EXPECT_EQ(fast.l1.misses, slow.l1.misses) << label;
-          EXPECT_EQ(fast.l1.compulsory, slow.l1.compulsory) << label;
-          EXPECT_EQ(fast.l1.capacity, slow.l1.capacity) << label;
-          EXPECT_EQ(fast.l1.conflict, slow.l1.conflict) << label;
-          EXPECT_EQ(fast.l1.evictions, slow.l1.evictions) << label;
+        for (const auto stage : stage_runs(passes)) {
+          const PassPrediction fast = predict_stage(stage, cfg.cfg, nullptr, true);
+          const PassPrediction slow = predict_stage(stage, cfg.cfg, nullptr, false);
+          expect_level_eq(fast.l1, slow.l1,
+                          stage_label(tree_name + "/" + std::to_string(n) + "/" + cfg.name, stage));
         }
       }
     }
@@ -181,8 +233,9 @@ TEST(Closure, FiresOnLeafSweeps) {
   const auto tree = fft::rightmost_tree(4096, 32);
   const cache::CacheConfig dm{.size_bytes = 512, .line_bytes = 64, .associativity = 1};
   bool any_closed = false;
-  for (const auto& pass : enumerate_passes(*tree)) {
-    any_closed = any_closed || predict_pass(pass, dm).closed_form;
+  const auto passes = enumerate_passes(*tree);
+  for (const auto stage : stage_runs(passes)) {
+    any_closed = any_closed || predict_stage(stage, dm).closed_form;
   }
   EXPECT_TRUE(any_closed);
 }
@@ -298,6 +351,47 @@ TEST(Primitives, EveryPlannerKeyKindHasPassesAndFlops) {
     EXPECT_GT(pred.l1_misses, 0u) << key.kind;
     CostCoefficients co;
     EXPECT_GT(model_cost(key, co, l1, l2), 0.0) << key.kind;
+  }
+}
+
+TEST(PrimitivePin, ColdStartModelValuesAreRecorded) {
+  // The cold-start model's numbers, pinned exactly: predicted misses per
+  // primitive invocation at both levels and model_cost with the default
+  // coefficients, for one key of every kind (unit and strided leaves and
+  // Stockham legs included). A change to any pass shape or to the cache
+  // model shows here. Costs are hex literals so the comparison is bit for
+  // bit.
+  const cache::CacheConfig l1{.size_bytes = 32 * 1024, .line_bytes = 64, .associativity = 8};
+  const cache::CacheConfig l2{.size_bytes = 512 * 1024, .line_bytes = 64, .associativity = 1};
+  const struct {
+    plan::CostKey key;
+    std::uint64_t l1_misses;
+    std::uint64_t l2_misses;
+    double cost;
+  } pins[] = {
+      {{"dft_leaf", 16, 1, 0, ""}, 4, 4, 0x1.79f505f35670cp-23},  // 1.76e-07
+      {{"dft_leaf", 32, 4096, 0, ""}, 64, 64, 0x1.d20102f91d7c8p-20},  // 1.736e-06
+      {{"wht_leaf", 16, 1, 0, ""}, 2, 2, 0x1.12e0be826d695p-24},  // 6.4e-08
+      {{"wht_leaf", 8, 1024, 0, ""}, 1, 1, 0x1.01b2b29a4692cp-25},  // 3e-08
+      {{"tw_rows", 1024, 32, 4, ""}, 1155, 1140, 0x1.e43732d855a84p-16},  // 2.88615e-05
+      {{"tw_cols", 4096, 64, 0, ""}, 2412, 1711, 0x1.a1eedb4818504p-15},  // 4.98215e-05
+      {{"perm", 4096, 64, 2, ""}, 6296, 6144, 0x1.3f1a47290963bp-13},  // 0.00015216
+      {{"reorg", 64, 64, 16, ""}, 10240, 10240, 0x1.05fe359450486p-12},  // 0.000249856
+      {{"reorg_g", 64, 32, 8, ""}, 2560, 2560, 0x1.05fe359450486p-14},  // 6.2464e-05
+      {{"fused_tws", 64, 64, 8, ""}, 6740, 5987, 0x1.44d5026195578p-13},  // 0.000154892
+      {{"stockham", 1024, 1, 0, ""}, 5631, 5631, 0x1.3642d4884f66cp-13},  // 0.000147944
+      {{"stockham", 256, 64, 0, ""}, 1791, 1791, 0x1.8032c046ac8ccp-15},  // 4.58e-05
+      {{"wht_reorg", 128, 64, 4, ""}, 10608, 10240, 0x1.0bd4dba0357b4p-12},  // 0.000255424
+  };
+  const CostCoefficients defaults;
+  for (const auto& p : pins) {
+    const std::string label =
+        p.key.kind + " " + std::to_string(p.key.a) + " " + std::to_string(p.key.b) + " " +
+        std::to_string(p.key.c);
+    const PrimitivePrediction pred = predict_primitive(p.key, l1, l2);
+    EXPECT_EQ(pred.l1_misses, p.l1_misses) << label;
+    EXPECT_EQ(pred.l2_misses, p.l2_misses) << label;
+    EXPECT_EQ(model_cost(p.key, defaults, l1, l2), p.cost) << label;
   }
 }
 
@@ -435,7 +529,7 @@ TEST(ColdStartPlanner, ExplicitOracleOutranksTheModel) {
   opts.cost_db = &db;
   opts.cache_model.cold_start_model = true;
   opts.cache_model.prefilter = true;
-  opts.cost_oracle = sim::simulated_cost_oracle({});
+  opts.cost_oracle = sim::simulated_cost_oracle();
   fft::FftPlanner planner(opts);
   const auto tree = planner.plan(1024, fft::Strategy::ddl_dp);
   ASSERT_NE(tree, nullptr);

@@ -264,7 +264,7 @@ TEST(FftPlanner, StockhamLeafWinsWhenOracleFavorsIt) {
 
 TEST(OraclePlanner, ProducesCorrectExecutableTrees) {
   PlannerOptions opts = fast_opts();
-  opts.cost_oracle = sim::simulated_cost_oracle({});
+  opts.cost_oracle = sim::simulated_cost_oracle();
   FftPlanner planner(opts);
   for (const Strategy s : {Strategy::sdl_dp, Strategy::ddl_dp}) {
     const index_t n = 1 << 12;
@@ -276,7 +276,7 @@ TEST(OraclePlanner, ProducesCorrectExecutableTrees) {
 TEST(OraclePlanner, DeterministicAcrossPlanners) {
   // Simulation has no measurement noise: two planners must agree exactly.
   PlannerOptions opts = fast_opts();
-  opts.cost_oracle = sim::simulated_cost_oracle({});
+  opts.cost_oracle = sim::simulated_cost_oracle();
   FftPlanner a(opts);
   FftPlanner b(opts);
   for (const index_t n : {index_t{1} << 10, index_t{1} << 14}) {
@@ -290,7 +290,7 @@ TEST(OraclePlanner, Paper1999CacheMakesDdlSplitsAppear) {
   // cache the DDL search reorganizes transforms larger than the cache and
   // keeps the SDL tree for smaller ones.
   PlannerOptions opts = fast_opts();
-  opts.cost_oracle = sim::simulated_cost_oracle({});
+  opts.cost_oracle = sim::simulated_cost_oracle();
   FftPlanner planner(opts);
   const auto small = planner.plan(1 << 12, Strategy::ddl_dp);   // fits (2^15 points)
   const auto large = planner.plan(1 << 18, Strategy::ddl_dp);   // exceeds
@@ -302,7 +302,7 @@ TEST(OraclePlanner, Paper1999CacheMakesDdlSplitsAppear) {
 }
 
 TEST(OraclePlanner, UnknownKindThrows) {
-  const auto oracle = sim::simulated_cost_oracle({});
+  const auto oracle = sim::simulated_cost_oracle();
   EXPECT_THROW(oracle({"nonsense", 1, 2, 3}), std::invalid_argument);
 }
 
@@ -418,7 +418,7 @@ TEST(WhtPlanner, MeasureTreeSeconds) {
 
 TEST(WhtPlanner, SimulatedOracleMakesDdlSplitsAppear) {
   PlannerOptions opts = fast_opts();
-  opts.cost_oracle = sim::simulated_cost_oracle({});
+  opts.cost_oracle = sim::simulated_cost_oracle();
   WhtPlanner planner(opts);
   // 8-byte points: the 512 KB cache holds 2^16; plan well past it.
   const auto tree = planner.plan(1 << 19, Strategy::ddl_dp);

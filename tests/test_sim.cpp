@@ -74,16 +74,6 @@ TEST(FftTracer, IdealCacheMissesAreCompulsoryOnly) {
   EXPECT_GT(cache.stats().compulsory_misses, 0u);
 }
 
-TEST(FftTracer, TwiddleTrafficCanBeExcluded) {
-  auto with_cache = ideal_cache();
-  FftTracer(with_cache, {.elem_bytes = 16, .include_twiddles = true})
-      .run(*plan::parse_tree("ct(8,8)"));
-  auto without_cache = ideal_cache();
-  FftTracer(without_cache, {.elem_bytes = 16, .include_twiddles = false})
-      .run(*plan::parse_tree("ct(8,8)"));
-  EXPECT_EQ(with_cache.stats().accesses - without_cache.stats().accesses, 7u * 7u);
-}
-
 TEST(WhtTracer, AccessCounts) {
   auto cache = ideal_cache();
   WhtTracer tracer(cache);
@@ -179,15 +169,15 @@ TEST(DdlVsSdl, NoPenaltyBelowCacheSize) {
 }
 
 
-// Every stage's address sequence is described once (the tracer's emitters)
-// and replayed by FftTracer, WhtTracer and the simulated cost oracle. The
-// values are pinned exactly, so any change to an emitted sequence shows
-// here. Each oracle kind appears at least once, with ragged
+// Every stage's address sequence is described once (cachepred's stage
+// builders) and replayed by FftTracer, WhtTracer and the simulated cost
+// oracle. The values are pinned exactly, so any change to an emitted
+// sequence shows here. Each oracle kind appears at least once, with ragged
 // (non-multiple-of-16) transposes among them, and each tracer runs static,
 // ddl, fused, Stockham and non-power-of-two trees on the default 512 KB
 // direct-mapped cache.
 TEST(SimPin, OracleAndTracersReplayRecordedSequences) {
-  const auto oracle = simulated_cost_oracle({});
+  const auto oracle = simulated_cost_oracle();
   const struct {
     plan::CostKey key;
     double cost;

@@ -208,19 +208,12 @@ autotune_smoke() {
 check "ddlfft autotune smoke (calibrate + re-plan, fail-closed stores)" autotune_smoke
 
 # 6b. cache-oracle smoke: analyze-plan output is pure static analysis —
-#     byte-identical across hosts — so it diffs against checked-in goldens.
+#     byte-identical across hosts — so the ctest entry test_analyze_goldens
+#     (tests/check_goldens.cmake) diffs it against checked-in goldens.
 #     Drift means the symbolic model changed; review it, then regenerate via
 #     tools/golden/README.md.
 cache_oracle_smoke() {
-  ./build/apps/ddlfft analyze-plan --tree "ct(16,ct(16,16))" \
-    --cache 32K:8,512K:1 > build/analyze_static.txt &&
-    diff -u tools/golden/analyze_ct16_16_16.txt build/analyze_static.txt &&
-    ./build/apps/ddlfft analyze-plan --tree "ctddlf(16,ct(16,16))" \
-      --cache 32K:8,512K:1 > build/analyze_ddlf.txt &&
-    diff -u tools/golden/analyze_ctddlf16_16_16.txt build/analyze_ddlf.txt &&
-    ./build/apps/ddlfft analyze-plan --tree "ctddlf(st(1024),st(1024))" \
-      --cache 32K:8,512K:1 > build/analyze_ddlf_st.txt &&
-    diff -u tools/golden/analyze_ctddlf_st1024_st1024.txt build/analyze_ddlf_st.txt
+  ctest --test-dir build -R '^test_analyze_goldens$' --output-on-failure
 }
 check "cache-oracle smoke (analyze-plan vs goldens)" cache_oracle_smoke
 
