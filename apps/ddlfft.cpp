@@ -25,12 +25,14 @@
 //
 // Shared flags: --wisdom FILE / --costdb FILE persist planning artifacts.
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -243,6 +245,45 @@ int cmd_run(const cli::Args& args) {
   return 0;
 }
 
+// Ring capacity per thread that `reps` traced runs need, from one traced
+// warmup run: the busiest thread's event count (or, if that run already
+// overflowed a ring, every recorded and dropped event) times reps, plus one
+// run of slack. Capped so a long profile cannot ask for gigabytes of rings.
+std::size_t profile_ring_capacity(const obs::Snapshot& warm, int reps) {
+  constexpr std::size_t kMaxEvents = std::size_t{1} << 22;
+  std::map<std::uint32_t, std::size_t> per_thread;
+  for (const obs::Event& e : warm.events) ++per_thread[e.tid];
+  std::size_t per_run = 0;
+  for (const auto& [tid, count] : per_thread) per_run = std::max(per_run, count);
+  if (const std::uint64_t dropped = warm.counter(obs::Counter::events_dropped); dropped > 0) {
+    per_run = warm.events.size() + static_cast<std::size_t>(dropped);
+  }
+  const std::size_t need = per_run * static_cast<std::size_t>(std::max(1, reps) + 1);
+  return std::clamp<std::size_t>(need, 1024, kMaxEvents);
+}
+
+// Trace `reps` calls of `run`. Warmups: one untraced (pool spin-up,
+// twiddle matrices, page faults), one traced to count each thread's events,
+// and, after every ring is sized for all reps, one more traced run that
+// registers the resized rings; then reset and trace exactly the
+// steady-state reps. Returns their wall seconds.
+template <class Run>
+double trace_reps(int reps, Run&& run) {
+  run();
+  obs::enable(true);
+  obs::reset();
+  run();
+  obs::set_ring_capacity(profile_ring_capacity(obs::snapshot(), reps));
+  obs::reset();
+  run();
+  obs::reset();
+  const std::uint64_t t0 = obs::now_ns();
+  for (int r = 0; r < reps; ++r) run();
+  const double wall = static_cast<double>(obs::now_ns() - t0) * 1e-9;
+  obs::enable(false);
+  return wall;
+}
+
 // Traced execution: plan (or parse) a tree, run it `reps` times with
 // tracing enabled, and report where the time went — per-stage summary to
 // stdout, chrome://tracing JSON to --trace, optionally a BENCH-schema JSON
@@ -279,40 +320,29 @@ int cmd_profile(const cli::Args& args) {
             << (is_wht ? "wht" : "fft") << ", threads = " << parallel::max_threads()
             << ")\n\n";
 
-  // Two warmups: one untraced (pool spin-up, twiddle tables, page faults),
-  // one traced (registers every participating thread's event ring), then
-  // reset and trace exactly the steady-state reps.
   double wall = 0.0;
   if (is_wht) {
     wht::WhtExecutor exec(*tree);
     AlignedBuffer<real_t> buf(n);
     for (index_t i = 0; i < n; ++i) buf.data()[i] = static_cast<real_t>(i % 7) - 3.0;
-    exec.transform(buf.span());
-    obs::enable(true);
-    exec.transform(buf.span());
-    obs::reset();
-    const std::uint64_t t0 = obs::now_ns();
-    for (int r = 0; r < reps; ++r) exec.transform(buf.span());
-    wall = static_cast<double>(obs::now_ns() - t0) * 1e-9;
-    obs::enable(false);
+    wall = trace_reps(reps, [&] { exec.transform(buf.span()); });
   } else {
     fft::FftExecutor exec(*tree);
     AlignedBuffer<cplx> buf(n);
     for (index_t i = 0; i < n; ++i) {
       buf.data()[i] = cplx(static_cast<double>(i % 5) - 2.0, static_cast<double>(i % 3) - 1.0);
     }
-    exec.forward(buf.span());
-    obs::enable(true);
-    exec.forward(buf.span());
-    obs::reset();
-    const std::uint64_t t0 = obs::now_ns();
-    for (int r = 0; r < reps; ++r) exec.forward(buf.span());
-    wall = static_cast<double>(obs::now_ns() - t0) * 1e-9;
-    obs::enable(false);
+    wall = trace_reps(reps, [&] { exec.forward(buf.span()); });
   }
 
   const obs::Snapshot snap = obs::snapshot();
   obs::write_summary(std::cout, snap);
+  if (const std::uint64_t dropped = snap.counter(obs::Counter::events_dropped); dropped > 0) {
+    std::cerr << "profile: warning: " << dropped
+              << " trace events were dropped (event ring full); the stage summary covers "
+                 "only part of the "
+              << reps << " reps\n";
+  }
   const double per_rep = wall / std::max(1, reps);
   std::cout << "\nwall: " << fmt_double(wall * 1e3, 3) << " ms over " << reps << " reps ("
             << fmt_double(per_rep * 1e3, 3) << " ms/rep";

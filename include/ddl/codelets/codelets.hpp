@@ -47,11 +47,13 @@ using DftBatchKernel = void (*)(cplx* x, index_t s, index_t dist, index_t count)
 using WhtBatchKernel = void (*)(real_t* x, index_t s, index_t dist, index_t count) noexcept;
 
 /// Fused twiddle+scatter kernel for a ctddlf node: one sweep writing
-/// data[(j + i*n2)*s] = scratch[j*n1 + i] * w[(i*j) mod n] for columns
-/// j in [j0, j1), with pure copies (no multiply) on the unit-twiddle i==0
-/// and j==0 lines so the result is bitwise identical to the two-pass
-/// twiddle-columns-then-scatter path. Callers parallelize over disjoint
-/// [j0, j1) column ranges; writes of distinct columns never alias.
+/// data[(j + i*n2)*s] = scratch[j*n1 + i] * w[j*n1 + i] for columns
+/// j in [j0, j1), where `w` is the n = n1*n2 element twiddle matrix
+/// M(n2,n1) of fft/twiddle.hpp (w[j*n1 + i] = W_n^{i*j}), with pure copies
+/// (no multiply) on the unit-twiddle i==0 and j==0 lines so the result is
+/// bitwise identical to the two-pass twiddle-columns-then-scatter path.
+/// The `n` argument is unused. Callers parallelize over disjoint [j0, j1)
+/// column ranges; writes of distinct columns never alias.
 using TwiddleScatterKernel = void (*)(cplx* data, index_t s, const cplx* scratch,
                                       const cplx* w, index_t n, index_t n1, index_t n2,
                                       index_t j0, index_t j1) noexcept;

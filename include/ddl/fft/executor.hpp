@@ -50,7 +50,7 @@ namespace ddl::fft {
 
 /// Executable form of a factorization tree for one transform size.
 ///
-/// Construction precomputes twiddle tables and the scratch arena; forward()
+/// Construction precomputes twiddle matrices and the scratch arena; forward()
 /// and inverse() are then allocation-free (except lane arenas grown on the
 /// first parallel execution). The executor owns a deep copy of the tree, so
 /// the caller's tree may be discarded.
@@ -106,8 +106,8 @@ class FftExecutor {
   void run(const plan::Node& node, cplx* data, index_t stride, cplx* arena, index_t arena_off);
   /// Fused index-reversal + 1/n scale turning DFT output into IDFT output.
   void inverse_finish(cplx* data);
-  void twiddle_rows(cplx* data, index_t stride, index_t n, index_t n1, index_t n2);
-  void twiddle_cols(cplx* scratch, index_t n, index_t n1, index_t n2);
+  void twiddle_rows(cplx* data, index_t stride, index_t n1, index_t n2);
+  void twiddle_cols(cplx* scratch, index_t n1, index_t n2);
   /// Fused twiddle+scatter pass of a ctddlf node (SIMD-dispatched single
   /// sweep replacing twiddle_cols + transpose_scatter).
   void twiddle_scatter(cplx* data, index_t stride, const cplx* scratch, index_t n, index_t n1,
@@ -128,20 +128,21 @@ class FftExecutor {
 
 /// Convenience: execute `tree` once on `data`. Routed through the global
 /// PlanCache, so repeated calls with the same tree shape reuse one executor
-/// (and its twiddle tables) instead of rebuilding them per call.
+/// (and its twiddle matrices) instead of rebuilding them per call.
 void execute_tree(const plan::Node& tree, std::span<cplx> data);
 
 namespace detail {
 
 /// Twiddle pass over a strided row-major node: data[(i*n2+j)*stride] *=
-/// w[(i*j) mod n]. Exposed so the planner can time the exact executor loop.
-/// Rows are independent and fan across the thread pool for large nodes.
-void twiddle_pass_rows(cplx* data, index_t stride, index_t n, index_t n1, index_t n2,
-                       const cplx* w);
+/// w[i*n2+j], with `w` the twiddle matrix M(n1,n2) (twiddle.hpp). Exposed
+/// so the planner can time the exact executor loop. Rows are independent
+/// and fan across the thread pool for large nodes.
+void twiddle_pass_rows(cplx* data, index_t stride, index_t n1, index_t n2, const cplx* w);
 
 /// Twiddle pass over a transposed contiguous node: scratch[j*n1+i] *=
-/// w[(i*j) mod n]. Columns fan across the pool like twiddle_pass_rows.
-void twiddle_pass_cols(cplx* scratch, index_t n, index_t n1, index_t n2, const cplx* w);
+/// w[j*n1+i], with `w` the twiddle matrix M(n2,n1). Columns fan across the
+/// pool like twiddle_pass_rows.
+void twiddle_pass_cols(cplx* scratch, index_t n1, index_t n2, const cplx* w);
 
 }  // namespace detail
 

@@ -3,7 +3,7 @@
 /// \brief Process-wide LRU cache of ready-to-run FFT executors.
 ///
 /// Building an FftExecutor clones the plan tree and synthesizes every
-/// twiddle table — O(n) work and allocation that used to be repaid on
+/// twiddle matrix — O(n) work and allocation that used to be repaid on
 /// *every* execute_tree() call. The PlanCache keeps one executor per tree
 /// shape (keyed by the plan grammar string, e.g. "ctddl(ct(32,32),1024)")
 /// so the entry points pay construction once and amortize it across calls.

@@ -10,7 +10,7 @@
 /// twiddle pass reads and rewrites exactly the elements the scatter is
 /// about to move, the two passes fuse into one read/write sweep:
 ///
-///     x[(i*n2 + j)*stride] = y[j*n1 + i] * W_n^{i*j}
+///     x[(i*n2 + j)*stride] = y[j*n1 + i] * w[j*n1 + i],   w[j*n1 + i] = W_n^{i*j}
 ///
 /// This header declares the serial scalar reference. It is the golden model
 /// the SIMD backends (codelets::twiddle_scatter_kernel) are asserted
@@ -29,9 +29,9 @@
 namespace ddl::layout {
 
 /// Serial scalar reference for the fused pass over columns [j0, j1) of the
-/// n1 x n2 matrix; n = n1*n2 and `w` is the length-n twiddle table
-/// W_n^k = exp(-2*pi*i*k/n). Writes of distinct columns never alias, so
-/// callers may split [0, n2) across threads.
+/// n1 x n2 matrix; `w` is the twiddle matrix M(n2,n1) of fft/twiddle.hpp,
+/// read at unit stride beside the scratch column. Writes of distinct
+/// columns never alias, so callers may split [0, n2) across threads.
 void twiddle_scatter_ref(cplx* x, index_t stride, const cplx* y, const cplx* w, index_t n1,
                          index_t n2, index_t j0, index_t j1);
 

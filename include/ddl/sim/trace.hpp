@@ -13,7 +13,8 @@
 /// Synthetic address space (cachepred::executor_passes):
 ///   [0, n*elem)                      — the transform data array
 ///   [data_end, data_end + 2n*elem)   — the scratch arena
-///   above that                       — one twiddle table per composite size
+///   above that                       — one twiddle matrix per split shape
+///                                      (and one table per Stockham leaf size)
 ///
 /// All regions are aligned to the cache's line size, as the real allocator
 /// guarantees. The element size follows from the transform: 16 B for FFT,

@@ -6,8 +6,8 @@
 ///
 /// The footprint analyzer (footprint.hpp) models every execution stage as a
 /// uniform chunk family; this module extends that write-set model to the
-/// full access structure of a stage — reads, writes and twiddle-table walks
-/// — and evaluates it against a configurable cache geometry *without
+/// full access structure of a stage — reads, writes and twiddle-matrix
+/// streams — and evaluates it against a configurable cache geometry *without
 /// executing the plan*.
 ///
 /// ## The pass model
@@ -17,14 +17,14 @@
 /// over a fixed set of `StreamRef`s. A ref's byte address at outer indices
 /// i[] and inner element e is
 ///
-///     base + sum_l i[l]*loop_step[l] + e*elem_step
-///          [+ ((mul(i)*e + off(i)) mod mod_n) * mod_scale]
+///     base + sum_l i[l]*loop_step[l] + e*elem_step.
 ///
-/// where the optional modular term describes the executors' incremental
-/// `idx += i; if (idx >= n) idx -= n` twiddle-table walks exactly. One set
-/// of stage builders — leaf, Stockham, transpose, twiddle rows, twiddle
-/// columns, fused twiddle-scatter, permute — emits these passes, and every
-/// consumer places them in its own address space:
+/// Twiddle reads are no exception: the executors read each split's twiddle
+/// matrix (fft/twiddle.hpp) in access order, a unit-stride stream beside
+/// the data it scales, and each matrix has its own region, keyed by split
+/// shape. One set of stage builders — leaf, Stockham, transpose, twiddle
+/// rows, twiddle columns, fused twiddle-scatter, permute — emits these
+/// passes, and every consumer places them in its own address space:
 ///
 ///   - enumerate_passes: the whole plan, stage-major (one stage's instances
 ///     become outer loops), for per-stage prediction;
@@ -79,14 +79,6 @@ struct StreamRef {
   std::int64_t elem_step = 0;          ///< bytes per inner element
   std::uint32_t width = 0;             ///< bytes touched per access (element size)
 
-  // Modular twiddle-table walk; inactive when mod_n == 0.
-  std::uint64_t mod_n = 0;             ///< table length in elements
-  std::uint64_t mod_scale = 0;         ///< bytes per table element
-  std::int64_t mul0 = 0;               ///< e-coefficient, constant part
-  std::vector<std::int64_t> mul_loop;  ///< e-coefficient, per outer index
-  std::int64_t off0 = 0;               ///< offset, constant part
-  std::vector<std::int64_t> off_loop;  ///< offset, per outer index
-
   bool skip_first_outer = false;  ///< innermost outer index 0 skips this ref
   bool skip_first_elem = false;   ///< inner element 0 skips this ref
 };
@@ -130,41 +122,29 @@ void walk_iters(const AccessPass& pass, index_t lo, index_t hi, Touch&& touch) {
     if (pass.loops[l] <= 0) return;
     inner *= static_cast<std::uint64_t>(pass.loops[l]);
   }
-  const auto mod = [](i64 x, i64 n) { return n != 0 ? (x % n + n) % n : i64{0}; };
-  // Per ref of every sweep, in order: its address and table terms (reduced
-  // mod n) at element 0 of the current outer indices. carry[k * nl + l] is
-  // how they change when outer index l steps and the indices inside it
-  // wrap to zero, so the nest advances by additions alone.
-  struct Outer {
-    i64 addr, mul, off, n;
-  };
-  std::vector<Outer> at;
-  std::vector<Outer> carry;
+  // Per ref of every sweep, in order: its address at element 0 of the
+  // current outer indices. carry[k * nl + l] is how it changes when outer
+  // index l steps and the indices inside it wrap to zero, so the nest
+  // advances by additions alone.
+  std::vector<i64> at;
+  std::vector<i64> carry;
   for (const Sweep& sw : pass.sweeps) {
     for (const StreamRef& r : sw.refs) {
-      const auto n = static_cast<i64>(r.mod_n);
-      at.push_back({0, 0, 0, n});
+      at.push_back(0);
       const std::size_t k0 = carry.size();
       carry.resize(k0 + nl);
-      i64 wrap_addr = 0, wrap_mul = 0, wrap_off = 0;
+      i64 wrap = 0;
       for (std::size_t l = nl; l-- > 1;) {
-        const i64 ml = n != 0 ? r.mul_loop[l] : 0;
-        const i64 ol = n != 0 ? r.off_loop[l] : 0;
-        carry[k0 + l] = {r.loop_step[l] - wrap_addr, mod(ml - wrap_mul, n), mod(ol - wrap_off, n),
-                         n};
-        const i64 ext = pass.loops[l] - 1;
-        wrap_addr += ext * r.loop_step[l];
-        wrap_mul += ext * ml;
-        wrap_off += ext * ol;
+        carry[k0 + l] = r.loop_step[l] - wrap;
+        wrap += (pass.loops[l] - 1) * r.loop_step[l];
       }
     }
   }
-  // Per ref of one sweep: the element-0 state copied from `at`, advanced
+  // Per ref of one sweep: the element-0 address copied from `at`, advanced
   // element by element, and whether the ref issues at element 0 and at
   // later elements.
   struct Cursor {
     i64 addr, step;
-    i64 t, dt, n, scale;
     bool write, first, rest;
   };
   std::array<Cursor, kMaxSweepRefs> cur;
@@ -173,10 +153,7 @@ void walk_iters(const AccessPass& pass, index_t lo, index_t hi, Touch&& touch) {
     std::size_t k = 0;
     for (const Sweep& sw : pass.sweeps) {
       for (const StreamRef& r : sw.refs) {
-        Outer& a = at[k++];
-        a.addr = static_cast<i64>(r.base) + (nl != 0 ? i0 * r.loop_step[0] : 0);
-        a.mul = mod(r.mul0 + (a.n != 0 && nl != 0 ? i0 * r.mul_loop[0] : 0), a.n);
-        a.off = mod(r.off0 + (a.n != 0 && nl != 0 ? i0 * r.off_loop[0] : 0), a.n);
+        at[k++] = static_cast<i64>(r.base) + (nl != 0 ? i0 * r.loop_step[0] : 0);
       }
     }
     idx[0] = i0;
@@ -188,34 +165,20 @@ void walk_iters(const AccessPass& pass, index_t lo, index_t hi, Touch&& touch) {
         const std::size_t nr = sw.refs.size();
         for (std::size_t j = 0; j < nr; ++j, ++k) {
           const StreamRef& r = sw.refs[j];
-          const Outer& a = at[k];
           const bool live = !(r.skip_first_outer && first_outer);
-          cur[j] = {a.addr, r.elem_step, a.off, a.mul, a.n, static_cast<i64>(r.mod_scale),
-                    r.write, live && !r.skip_first_elem, live && !r.once};
+          cur[j] = {at[k], r.elem_step, r.write, live && !r.skip_first_elem, live && !r.once};
         }
         for (index_t e = 0; e < sw.count; ++e) {
           for (std::size_t j = 0; j < nr; ++j) {
             Cursor& c = cur[j];
-            if (e == 0 ? c.first : c.rest) {
-              touch(static_cast<std::uint64_t>(c.addr + c.t * c.scale), c.write);
-            }
+            if (e == 0 ? c.first : c.rest) touch(static_cast<std::uint64_t>(c.addr), c.write);
             c.addr += c.step;
-            c.t += c.dt;
-            if (c.t >= c.n) c.t -= c.n;
           }
         }
       }
       for (std::size_t l = nl; l-- > 1;) {
         if (++idx[l] < pass.loops[l]) {
-          for (std::size_t q = 0; q < at.size(); ++q) {
-            const Outer& d = carry[q * nl + l];
-            Outer& a = at[q];
-            a.addr += d.addr;
-            a.mul += d.mul;
-            if (a.mul >= a.n) a.mul -= a.n;
-            a.off += d.off;
-            if (a.off >= a.n) a.off -= a.n;
-          }
+          for (std::size_t q = 0; q < at.size(); ++q) at[q] += carry[q * nl + l];
           break;
         }
         idx[l] = 0;
@@ -268,7 +231,8 @@ struct AnalyzeOptions {
 /// Enumerate every pass of the plan stage-major: each stage once, its
 /// sub-transform instances as outer loops, in the executors' stage order
 /// and address space (data at 0, line-aligned scratch arena after it, one
-/// twiddle region per composite size in first-use order).
+/// twiddle region per split shape and one per Stockham table size, in
+/// first-use order).
 std::vector<AccessPass> enumerate_passes(const plan::Node& tree, const AnalyzeOptions& opts = {});
 
 /// Every pass of one execution of the plan in exactly the executors' order
@@ -331,8 +295,8 @@ CacheReport analyze_plan(const plan::Node& tree, const AnalyzeOptions& opts = {}
 inline constexpr index_t kLeafProbeCount = 64;
 
 /// Build the pass list for one DP primitive at packed addresses: data at 0,
-/// scratch past the data's strided extent, the twiddle table past the
-/// scratch. Leaf kinds model kLeafProbeCount successive sub-transforms like
+/// scratch past the data's strided extent, the twiddle matrix or table past
+/// the scratch. Leaf kinds model kLeafProbeCount successive sub-transforms like
 /// the wall-clock probe. Empty for a kind the model does not know.
 std::vector<AccessPass> primitive_passes(const plan::CostKey& key);
 

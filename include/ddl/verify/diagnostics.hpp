@@ -22,7 +22,6 @@ enum class Rule {
   stride_bounds,      ///< every access stays inside the node's (size, stride) extent
   ddl_legality,       ///< no ddl flag on degenerate (size-1 factor) splits
   codelet_coverage,   ///< every leaf is executable (codelet or valid fallback)
-  twiddle_bounds,     ///< twiddle-table index walks stay inside the length-n table
   scratch_sizing,     ///< symbolic scratch demand fits what the executor provisions
   chunk_overlap,      ///< concurrently-written chunk families are pairwise disjoint
   grammar_round_trip, ///< to_string -> parse_tree reproduces the tree

@@ -14,8 +14,6 @@
 ///   * layout:  no ddl flag on degenerate splits
 ///   * leaves:  every leaf is executable (codelet, or a fallback that
 ///              accepts the size; strict mode requires a generated codelet)
-///   * twiddle: the incremental mod-n index walk of the twiddle passes
-///              provably stays inside the length-n table
 ///   * scratch: the symbolic serial-arena demand fits the 2n the executor
 ///              provisions (and every subtree fits the 2*n_sub lane arena)
 ///   * races:   every parallel stage's chunk family is pairwise disjoint

@@ -211,7 +211,7 @@ void FftExecutor::run(const plan::Node& node, cplx* data, index_t stride, cplx* 
     } else {
       {
         const obs::ScopedStage st(obs::Stage::twiddle_cols, n, n2);
-        twiddle_cols(scratch, n, n1, n2);  // ddl-lint: allow(fused-twiddle)
+        twiddle_cols(scratch, n1, n2);  // ddl-lint: allow(fused-twiddle)
       }
       {
         const obs::ScopedStage st(obs::Stage::reorg_scatter, n1, n2);
@@ -253,7 +253,7 @@ void FftExecutor::run(const plan::Node& node, cplx* data, index_t stride, cplx* 
     }
     {
       const obs::ScopedStage st(obs::Stage::twiddle_rows, n, n2);
-      twiddle_rows(data, stride, n, n1, n2);
+      twiddle_rows(data, stride, n1, n2);
     }
   }
 
@@ -296,23 +296,23 @@ void FftExecutor::run(const plan::Node& node, cplx* data, index_t stride, cplx* 
   }
 }
 
-void FftExecutor::twiddle_rows(cplx* data, index_t stride, index_t n, index_t n1, index_t n2) {
-  detail::twiddle_pass_rows(data, stride, n, n1, n2, twiddles_.get(n));
+void FftExecutor::twiddle_rows(cplx* data, index_t stride, index_t n1, index_t n2) {
+  detail::twiddle_pass_rows(data, stride, n1, n2, twiddles_.get(n1, n2));
 }
 
-void FftExecutor::twiddle_cols(cplx* scratch, index_t n, index_t n1, index_t n2) {
-  detail::twiddle_pass_cols(scratch, n, n1, n2, twiddles_.get(n));
+void FftExecutor::twiddle_cols(cplx* scratch, index_t n1, index_t n2) {
+  detail::twiddle_pass_cols(scratch, n1, n2, twiddles_.get(n2, n1));
 }
 
 void FftExecutor::twiddle_scatter(cplx* data, index_t stride, const cplx* scratch, index_t n,
                                   index_t n1, index_t n2) {
-  // Columns are independent (column j touches only scratch[j*n1..] and the
-  // write comb data[(i*n2+j)*stride]), so the pass fans across the pool
-  // exactly like transpose_scatter; parallel_for refuses nested regions, so
-  // no fan_out gate is needed here.
+  // Columns are independent (column j touches only scratch[j*n1..], the
+  // matrix row w[j*n1..] and the write comb data[(i*n2+j)*stride]), so the
+  // pass fans across the pool exactly like transpose_scatter; parallel_for
+  // refuses nested regions, so no fan_out gate is needed here.
   const codelets::Isa isa = codelets::active_isa();
   const auto kernel = codelets::twiddle_scatter_kernel(isa);
-  const cplx* w = twiddles_.get(n);
+  const cplx* w = twiddles_.get(n2, n1);
   const obs::ScopedStage st(obs::Stage::twiddle_scatter, n1, n2,
                             static_cast<std::uint8_t>(isa));
   const index_t grain =
@@ -343,39 +343,43 @@ void FftExecutor::run_stockham(const plan::Node& node, cplx* data, index_t strid
 
 namespace detail {
 
-void twiddle_pass_rows(cplx* data, index_t stride, index_t n, index_t n1, index_t n2,
-                       const cplx* w) {
-  // Row 0 and column 0 have unit twiddles; skip them. Each row's twiddle
-  // index walk starts from scratch, so rows are independent and fan across
+namespace {
+
+/// x *= w as the naive complex product, in the operation order of the
+/// fused twiddle_scatter kernels (re = ar*wr - ai*wi, im = ar*wi + ai*wr).
+inline void scale(cplx& x, const cplx& w) {
+  const double ar = x.real();
+  const double ai = x.imag();
+  x = cplx(ar * w.real() - ai * w.imag(), ar * w.imag() + ai * w.real());
+}
+
+}  // namespace
+
+void twiddle_pass_rows(cplx* data, index_t stride, index_t n1, index_t n2, const cplx* w) {
+  // Row 0 and column 0 have unit twiddles; skip them. Row i reads matrix
+  // row w[i*n2..] at unit stride, so rows are independent and fan across
   // the pool for large nodes.
   const index_t grain =
       std::max<index_t>(1, parallel::kMinParallelReorg / std::max<index_t>(1, n2));
   parallel::parallel_for(1, n1, grain, [&](index_t r0, index_t r1, int) {
     for (index_t i = r0; i < r1; ++i) {
       cplx* row = data + i * n2 * stride;
-      index_t idx = 0;
-      for (index_t j = 1; j < n2; ++j) {
-        idx += i;
-        if (idx >= n) idx -= n;
-        row[j * stride] *= w[idx];
-      }
+      const cplx* wr = w + i * n2;
+      for (index_t j = 1; j < n2; ++j) scale(row[j * stride], wr[j]);
     }
   });
 }
 
-void twiddle_pass_cols(cplx* scratch, index_t n, index_t n1, index_t n2, const cplx* w) {
-  // scratch layout: scratch[j*n1 + i] = M[i][j]; factor W_n^{i*j}.
+void twiddle_pass_cols(cplx* scratch, index_t n1, index_t n2, const cplx* w) {
+  // scratch layout: scratch[j*n1 + i] = M[i][j], scaled by w[j*n1 + i] =
+  // W_n^{i*j}: data and matrix are the same stream shape.
   const index_t grain =
       std::max<index_t>(1, parallel::kMinParallelReorg / std::max<index_t>(1, n1));
   parallel::parallel_for(1, n2, grain, [&](index_t c0, index_t c1, int) {
     for (index_t j = c0; j < c1; ++j) {
       cplx* col = scratch + j * n1;
-      index_t idx = 0;
-      for (index_t i = 1; i < n1; ++i) {
-        idx += j;
-        if (idx >= n) idx -= n;
-        col[i] *= w[idx];
-      }
+      const cplx* wc = w + j * n1;
+      for (index_t i = 1; i < n1; ++i) scale(col[i], wc[i]);
     }
   });
 }
@@ -384,7 +388,7 @@ void twiddle_pass_cols(cplx* scratch, index_t n, index_t n1, index_t n2, const c
 
 void execute_tree(const plan::Node& tree, std::span<cplx> data) {
   // PlanCache keeps one executor per tree shape alive, so consecutive calls
-  // stop re-cloning the tree and rebuilding twiddle tables (and the entry
+  // stop re-cloning the tree and rebuilding twiddle matrices (and the entry
   // lock makes concurrent callers safe on the shared executor).
   PlanCache::Entry entry = PlanCache::instance().get(tree);
   const std::lock_guard<std::mutex> lock(*entry.guard);

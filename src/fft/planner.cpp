@@ -35,7 +35,22 @@ const char* strategy_name(Strategy s) noexcept {
 struct FftPlanner::Buffers {
   AlignedBuffer<cplx> data;
   AlignedBuffer<cplx> scratch;
-  TwiddleCache twiddles;
+  // The twiddle matrix of the shape probed last. One buffer, refilled on a
+  // shape change: keeping every probed shape's matrix would hold about one
+  // n-point matrix per divisor of every size the DP visits.
+  AlignedBuffer<cplx> twiddles;
+  index_t tw_rows = 0;
+  index_t tw_cols = 0;
+
+  const cplx* twiddle_matrix(index_t r, index_t c) {
+    if (r != tw_rows || c != tw_cols) {
+      if (twiddles.size() < r * c) twiddles = AlignedBuffer<cplx>(r * c);
+      fill_twiddle_matrix(r, c, twiddles.data());
+      tw_rows = r;
+      tw_cols = c;
+    }
+    return twiddles.data();
+  }
 };
 
 FftPlanner::FftPlanner(PlannerOptions opts)
@@ -231,16 +246,17 @@ double FftPlanner::twiddle_cost(index_t n, index_t n2, index_t stride) {
   }
   return probe(key, [&] {
     const index_t n1 = n / n2;
-    const cplx* w = bufs_->twiddles.ensure(n);
     const TimeOptions topts{.min_total_seconds = opts_.measure_floor, .min_reps = 2};
     if (stride == 0) {
       ensure_buffers(n);
       cplx* s = bufs_->scratch.data();
-      return time_best_of([&] { detail::twiddle_pass_cols(s, n, n1, n2, w); }, 2, topts);
+      const cplx* w = bufs_->twiddle_matrix(n2, n1);
+      return time_best_of([&] { detail::twiddle_pass_cols(s, n1, n2, w); }, 2, topts);
     }
     ensure_buffers(n * stride);
     cplx* x = bufs_->data.data();
-    return time_best_of([&] { detail::twiddle_pass_rows(x, stride, n, n1, n2, w); }, 2, topts);
+    const cplx* w = bufs_->twiddle_matrix(n1, n2);
+    return time_best_of([&] { detail::twiddle_pass_rows(x, stride, n1, n2, w); }, 2, topts);
   });
 }
 
@@ -310,7 +326,7 @@ double FftPlanner::fused_cost(index_t n1, index_t n2, index_t stride) {
     ensure_buffers(std::max(n * stride, n));
     cplx* x = bufs_->data.data();
     const cplx* s = bufs_->scratch.data();
-    const cplx* w = bufs_->twiddles.ensure(n);
+    const cplx* w = bufs_->twiddle_matrix(n2, n1);
     const auto kernel = codelets::twiddle_scatter_kernel(isa);
     const TimeOptions topts{.min_total_seconds = opts_.measure_floor, .min_reps = 2};
     // Zeros stay zeros through the twiddle multiply, so the buffers remain

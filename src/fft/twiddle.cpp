@@ -7,37 +7,50 @@
 
 namespace ddl::fft {
 
-const cplx* TwiddleCache::ensure(index_t n) {
-  DDL_REQUIRE(n >= 1, "twiddle table size must be >= 1");
-  auto it = tables_.find(n);
-  if (it != tables_.end()) return it->second.data();
-  AlignedBuffer<cplx> table(n);
-  const double step = -2.0 * std::numbers::pi / static_cast<double>(n);
-  for (index_t k = 0; k < n; ++k) {
-    const double ang = step * static_cast<double>(k);
-    table[k] = {std::cos(ang), std::sin(ang)};
+void fill_twiddle_matrix(index_t r, index_t c, cplx* out) {
+  DDL_REQUIRE(r >= 1 && c >= 1, "twiddle matrix extents must be >= 1");
+  const double step = -2.0 * std::numbers::pi / static_cast<double>(r * c);
+  for (index_t a = 0; a < r; ++a) {
+    for (index_t b = 0; b < c; ++b) {
+      const double ang = step * static_cast<double>(a * b);  // a*b < r*c: no reduction
+      out[a * c + b] = {std::cos(ang), std::sin(ang)};
+    }
   }
-  auto [pos, inserted] = tables_.emplace(n, std::move(table));
-  DDL_CHECK(inserted, "twiddle table insertion raced");
+}
+
+const cplx* TwiddleCache::ensure(index_t r, index_t c) {
+  auto it = matrices_.find({r, c});
+  if (it != matrices_.end()) return it->second.data();
+  DDL_REQUIRE(r >= 1 && c >= 1, "twiddle matrix extents must be >= 1");
+  AlignedBuffer<cplx> matrix(r * c);
+  fill_twiddle_matrix(r, c, matrix.data());
+  auto [pos, inserted] = matrices_.emplace(std::pair{r, c}, std::move(matrix));
+  DDL_CHECK(inserted, "twiddle matrix insertion raced");
   return pos->second.data();
 }
 
-const cplx* TwiddleCache::get(index_t n) const {
-  auto it = tables_.find(n);
-  DDL_REQUIRE(it != tables_.end(), "twiddle table missing; call build_for/ensure first");
+const cplx* TwiddleCache::get(index_t r, index_t c) const {
+  auto it = matrices_.find({r, c});
+  DDL_REQUIRE(it != matrices_.end(), "twiddle matrix missing; call build_for/ensure first");
   return it->second.data();
 }
 
 void TwiddleCache::build_for(const plan::Node& tree) {
   if (tree.is_leaf()) return;
-  ensure(tree.n);
+  const index_t n1 = tree.left->n;
+  const index_t n2 = tree.right->n;
+  if (tree.ddl) {
+    ensure(n2, n1);
+  } else {
+    ensure(n1, n2);
+  }
   build_for(*tree.left);
   build_for(*tree.right);
 }
 
 index_t TwiddleCache::total_elements() const noexcept {
   index_t total = 0;
-  for (const auto& [n, buf] : tables_) total += buf.size();
+  for (const auto& [shape, buf] : matrices_) total += buf.size();
   return total;
 }
 

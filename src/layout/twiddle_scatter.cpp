@@ -10,10 +10,10 @@ void twiddle_scatter_ref(cplx* x, index_t stride, const cplx* y, const cplx* w, 
                          index_t n2, index_t j0, index_t j1) {
   DDL_REQUIRE(stride >= 1 && n1 >= 1 && n2 >= 1, "bad twiddle_scatter geometry");
   DDL_REQUIRE(0 <= j0 && j0 <= j1 && j1 <= n2, "bad twiddle_scatter column range");
-  const index_t n = n1 * n2;
   const index_t comb = n2 * stride;
   for (index_t j = j0; j < j1; ++j) {
     const cplx* src = y + j * n1;
+    const cplx* tw = w + j * n1;
     cplx* dst = x + j * stride;
     if (j == 0) {
       // Unit-twiddle column: a plain scatter copy, exactly what the
@@ -22,14 +22,11 @@ void twiddle_scatter_ref(cplx* x, index_t stride, const cplx* y, const cplx* w, 
       continue;
     }
     dst[0] = src[0];  // i == 0: unit twiddle, copy
-    index_t idx = 0;  // (i*j) mod n, walked incrementally like the two-pass
     for (index_t i = 1; i < n1; ++i) {
-      idx += j;
-      if (idx >= n) idx -= n;
       const double ar = src[i].real();
       const double ai = src[i].imag();
-      const double wr = w[idx].real();
-      const double wi = w[idx].imag();
+      const double wr = tw[i].real();
+      const double wi = tw[i].imag();
       dst[i * comb] = cplx(ar * wr - ai * wi, ar * wi + ai * wr);
     }
   }

@@ -51,9 +51,6 @@ void validate_pass(const AccessPass& pass) {
     DDL_REQUIRE(sw.refs.size() <= kMaxSweepRefs, "too many refs in one sweep");
     for (const StreamRef& r : sw.refs) {
       DDL_REQUIRE(r.loop_step.size() == pass.loops.size(), "ref/loop arity mismatch");
-      DDL_REQUIRE(r.mod_n == 0 || (r.mul_loop.size() == pass.loops.size() &&
-                                   r.off_loop.size() == pass.loops.size()),
-                  "modular ref/loop arity mismatch");
     }
   }
 }
@@ -119,7 +116,8 @@ class PassBuilder {
 
   /// Stockham leaf (FftExecutor::run_stockham): strided leaves pack into the
   /// arena and ping-pong within it; unit-stride leaves ping-pong data <->
-  /// arena. One twiddle read per butterfly group, from the table at `tw`.
+  /// arena. One twiddle read per butterfly group, from the leaf's own table
+  /// at `tw`.
   void stockham(const std::string& path, const Ctx& c, u64 b, index_t n, index_t s, u64 arena,
                 u64 tw) {
     const i64 se = s * eb_;
@@ -168,39 +166,43 @@ class PassBuilder {
   }
 
   /// Twiddle pass over the strided rows of an n1 x n2 static split: row i,
-  /// column j (both from 1) reads table entry i*j mod n.
+  /// column j (both from 1) reads entry i*n2 + j of the matrix M(n1,n2) at
+  /// `tw`.
   void twiddle_rows(const std::string& path, const Ctx& c, u64 b, index_t n1, index_t n2,
                     index_t s, u64 tw) {
     const i64 se = s * eb_;
     const u64 row0 = b + static_cast<u64>((n2 + 1) * se);
     Sweep sw;
     sw.count = n2 - 1;
-    sw.refs = {twref(tw, c.loops.size() + 1, n1 * n2, 1, 1, 1, 1),
+    sw.refs = {ref(false, tw + static_cast<u64>((n2 + 1) * eb_),
+                   cat(zvec(c.loops.size()), {n2 * eb_}), eb_),
                ref(false, row0, cat(c.bsteps, {n2 * se}), se),
                ref(true, row0, cat(c.bsteps, {n2 * se}), se)};
     push(path, "twiddle rows", c, {n1 - 1}, {std::move(sw)});
   }
 
-  /// Twiddle pass over the packed columns of a two-pass ddl split.
+  /// Twiddle pass over the packed columns of a two-pass ddl split: column
+  /// j, row i (both from 1) reads entry j*n1 + i of the matrix M(n2,n1) at
+  /// `tw`, the scratch element's own offset.
   void twiddle_cols(const std::string& path, const Ctx& c, u64 arena, index_t n1, index_t n2,
                     u64 tw) {
     const std::vector<i64> z = zvec(c.loops.size());
-    const u64 col0 = arena + static_cast<u64>((n1 + 1) * eb_);
+    const u64 off = static_cast<u64>((n1 + 1) * eb_);
     Sweep sw;
     sw.count = n1 - 1;
-    sw.refs = {twref(tw, c.loops.size() + 1, n1 * n2, 1, 1, 1, 1),
-               ref(false, col0, cat(z, {n1 * eb_}), eb_),
-               ref(true, col0, cat(z, {n1 * eb_}), eb_)};
+    sw.refs = {ref(false, tw + off, cat(z, {n1 * eb_}), eb_),
+               ref(false, arena + off, cat(z, {n1 * eb_}), eb_),
+               ref(true, arena + off, cat(z, {n1 * eb_}), eb_)};
     push(path, "twiddle columns (scratch)", c, {n2 - 1}, {std::move(sw)});
   }
 
   /// Fused ctddlf sweep, one column at a time: unit-stride scratch reads,
-  /// twiddle-table reads (column 0 and element 0 carry W^0 and skip them),
-  /// strided comb writes.
+  /// unit-stride reads of the matrix M(n2,n1) at `tw` (column 0 and element
+  /// 0 carry W^0 and skip them), strided comb writes.
   void twiddle_scatter(const std::string& path, const Ctx& c, u64 b, index_t s, index_t n1,
                        index_t n2, u64 arena, u64 tw) {
     const i64 se = s * eb_;
-    StreamRef t = twref(tw, c.loops.size() + 1, n1 * n2, 0, 1, 0, 0);
+    StreamRef t = ref(false, tw, cat(zvec(c.loops.size()), {n1 * eb_}), eb_);
     t.skip_first_outer = true;
     t.skip_first_elem = true;
     Sweep sw;
@@ -243,22 +245,6 @@ class PassBuilder {
     r.loop_step = std::move(steps);
     r.elem_step = estep;
     r.width = static_cast<std::uint32_t>(eb_);
-    return r;
-  }
-
-  /// Twiddle-table ref: table index (mul0 + c*mul_last)*e + off0 + c*off_last
-  /// (mod n), where c is the pass's last outer loop and e the inner element.
-  StreamRef twref(u64 base, std::size_t nloops, index_t n, i64 mul0, i64 mul_last, i64 off0,
-                  i64 off_last) const {
-    StreamRef r = ref(false, base, zvec(nloops), 0);
-    r.mod_n = static_cast<u64>(n);
-    r.mod_scale = static_cast<u64>(eb_);
-    r.mul0 = mul0;
-    r.off0 = off0;
-    r.mul_loop = zvec(nloops);
-    r.off_loop = zvec(nloops);
-    r.mul_loop.back() = mul_last;
-    r.off_loop.back() = off_last;
     return r;
   }
 
@@ -314,7 +300,8 @@ class PassBuilder {
 
 /// Walks a plan tree in the executors' stage order and places each stage in
 /// the synthetic address space: data at 0, the scratch arena after it,
-/// twiddle tables above that in first-use order, all regions aligned.
+/// twiddle matrices and Stockham tables above that in first-use order, all
+/// regions aligned.
 /// Stage-major (`expand` off) emits each stage once with its instances as
 /// outer loops; executor order (`expand` on) visits every instance of a
 /// child that is not a codelet leaf in turn.
@@ -339,9 +326,13 @@ class PlanWalker {
  private:
   u64 aligned(u64 a) const { return (a + align_ - 1) / align_ * align_; }
 
-  u64 twiddles(index_t n) {
-    auto [it, fresh] = tw_regions_.try_emplace(n, next_region_);
-    if (fresh) next_region_ = aligned(next_region_ + static_cast<u64>(n) * eb_);
+  /// Region of the twiddle matrix M(r,c) a split reads (fft/twiddle.hpp),
+  /// or with c == 0 of a size-r Stockham leaf's own table.
+  u64 twiddles(index_t r, index_t c) {
+    auto [it, fresh] = tw_regions_.try_emplace({r, c}, next_region_);
+    if (fresh) {
+      next_region_ = aligned(next_region_ + static_cast<u64>(r * std::max<index_t>(c, 1)) * eb_);
+    }
     return it->second;
   }
 
@@ -362,7 +353,7 @@ class PlanWalker {
             u64 arena) {
     if (nd.is_leaf()) {
       if (nd.stockham) {
-        build_.stockham(path, c, b, nd.n, s, arena, twiddles(nd.n));
+        build_.stockham(path, c, b, nd.n, s, arena, twiddles(nd.n, 0));
       } else {
         build_.leaf(path, c, b, nd.n, s);
       }
@@ -394,11 +385,11 @@ class PlanWalker {
     }
     left();
     if (!nd.ddl) {
-      build_.twiddle_rows(path, c, b, n1, n2, s, twiddles(n));
+      build_.twiddle_rows(path, c, b, n1, n2, s, twiddles(n1, n2));
     } else if (nd.fused) {
-      build_.twiddle_scatter(path, c, b, s, n1, n2, arena, twiddles(n));
+      build_.twiddle_scatter(path, c, b, s, n1, n2, arena, twiddles(n2, n1));
     } else {
-      build_.twiddle_cols(path, c, arena, n1, n2, twiddles(n));
+      build_.twiddle_cols(path, c, arena, n1, n2, twiddles(n2, n1));
       build_.reorg(path, c, b, s, n1, n2, arena, /*gather=*/false);
     }
     right();
@@ -411,7 +402,7 @@ class PlanWalker {
   bool expand_;
   PassBuilder build_;
   u64 next_region_ = 0;
-  std::map<index_t, u64> tw_regions_;
+  std::map<std::pair<index_t, index_t>, u64> tw_regions_;
 };
 
 }  // namespace
@@ -469,7 +460,6 @@ void ref_range(const StreamRef& r, const std::vector<index_t>& loops, index_t co
   }
   const i64 espan = r.elem_step * std::max<i64>(static_cast<i64>(count) - 1, 0);
   (espan < 0 ? mn : mx) += espan;
-  if (r.mod_n != 0) mx += static_cast<i64>((r.mod_n - 1) * r.mod_scale);
   lo = static_cast<u64>(mn);
   hi = static_cast<u64>(mx) + (r.width > 0 ? r.width - 1 : 0);
 }
@@ -502,7 +492,6 @@ ClosurePlan closure_plan(const AccessPass& pass, const cache::CacheConfig& l1,
   u64 f_lo = ~u64{0}, f_hi = 0, s_lo = ~u64{0}, s_hi = 0, w_lo = ~u64{0}, w_hi = 0;
   for (const Sweep& sw : pass.sweeps) {
     for (const StreamRef& r : sw.refs) {
-      if (r.mod_n != 0 && (r.mul_loop[0] != 0 || r.off_loop[0] != 0)) return cp;
       if (r.skip_first_outer && pass.loops.size() == 1) return cp;
       const i64 s0 = r.loop_step[0];
       u64 lo = 0, hi = 0;

@@ -10,7 +10,6 @@ const char* rule_name(Rule rule) noexcept {
     case Rule::stride_bounds: return "stride_bounds";
     case Rule::ddl_legality: return "ddl_legality";
     case Rule::codelet_coverage: return "codelet_coverage";
-    case Rule::twiddle_bounds: return "twiddle_bounds";
     case Rule::scratch_sizing: return "scratch_sizing";
     case Rule::chunk_overlap: return "chunk_overlap";
     case Rule::grammar_round_trip: return "grammar_round_trip";

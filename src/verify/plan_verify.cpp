@@ -113,18 +113,6 @@ void check_node(const plan::Node& node, const std::string& path, const VerifyOpt
            "fused twiddle+scatter split is FFT-only (WHT has no twiddle pass)", 0, node.n);
     }
   }
-  if (opts.transform == Transform::fft) {
-    // The incremental twiddle index walk (idx += i; if (idx >= n) idx -= n)
-    // of detail::twiddle_pass_rows/_cols stays inside the length-n table
-    // only when every step is < n, i.e. both factors fit in the table.
-    if (n1 > node.n || n2 > node.n) {
-      diag(report, Rule::twiddle_bounds, path,
-           "factor exceeds the twiddle table length; the mod-n index walk would escape the "
-           "table",
-           node.n, std::max(n1, n2));
-    }
-  }
-
   // Lane arenas: a fan-out hands each child a fresh 2*child.n-element
   // ScratchPool arena; the child's symbolic demand must fit it.
   const index_t need = scratch_requirement(node, opts.transform);

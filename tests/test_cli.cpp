@@ -1,8 +1,13 @@
-// Tests for the command-line utilities (size notation parser, Args) and
-// the WHT public facade.
+// Tests for the command-line utilities (size notation parser, Args), the
+// ddlfft driver's profile subcommand, and the WHT public facade.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ddl/common/aligned.hpp"
@@ -42,6 +47,40 @@ TEST(ParseSize, Errors) {
   EXPECT_THROW(parse_size("2^99"), std::invalid_argument);
   EXPECT_THROW(parse_size("12Q"), std::invalid_argument);
   EXPECT_THROW(parse_size("12KB"), std::invalid_argument);
+}
+
+/// Run a shell command; returns its exit status and stdout+stderr.
+std::pair<int, std::string> run_command(const std::string& cmd) {
+  std::string out;
+  FILE* pipe = popen((cmd + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return {-1, out};
+  char buf[4096];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, got);
+  return {pclose(pipe), out};
+}
+
+// `ddlfft profile` sizes its event rings from a traced warmup, so every
+// timed rep reaches the summary: the radix-2 tree of 2^10 records about
+// 4k events per transform, and 40 reps would overrun the default
+// 2^15-event ring more than four times over.
+TEST(CliProfile, EveryRepReachesTheSummary) {
+  const auto trace = std::filesystem::temp_directory_path() / "ddlfft_cli_profile_test.json";
+  const std::string tree = "ct(2,ct(2,ct(2,ct(2,ct(2,ct(2,ct(2,ct(2,ct(2,2)))))))))";
+  const auto [status, out] = run_command(std::string(DDLFFT_PATH) + " profile --tree \"" +
+                                         tree + "\" --reps 40 --threads 1 --trace " +
+                                         trace.string());
+  std::filesystem::remove(trace);
+  ASSERT_EQ(status, 0) << out;
+  EXPECT_EQ(out.find("events_dropped"), std::string::npos) << out;
+  EXPECT_EQ(out.find("warning"), std::string::npos) << out;
+  const std::size_t row = out.find("\ntransform ");
+  ASSERT_NE(row, std::string::npos) << out;
+  std::istringstream line(out.substr(row + 1));
+  std::string stage;
+  long calls = 0;
+  line >> stage >> calls;
+  EXPECT_EQ(calls, 40) << out;
 }
 
 std::vector<const char*> argv_of(std::initializer_list<const char*> items) {

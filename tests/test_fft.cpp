@@ -1,13 +1,16 @@
 // Correctness tests for the FFT engines: the tree executor (SDL and DDL
 // nodes, arbitrary mixed-radix trees) against the O(n^2) reference, the
-// iterative radix-2 baseline, twiddle tables, and the public Fft facade.
+// iterative radix-2 baseline, twiddle matrices, and the public Fft facade.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <vector>
 
+#include "ddl/codelets/codelets.hpp"
 #include "ddl/common/aligned.hpp"
 #include "ddl/common/parallel.hpp"
 #include "ddl/common/rng.hpp"
@@ -110,6 +113,65 @@ TEST(TreeExecutor, FusedPathBitwiseIdenticalToTwoPass) {
     }
   }
   parallel::set_threads(saved_threads);
+}
+
+/// FNV-1a over the raw bytes of a transform's output.
+std::uint64_t output_hash(std::span<const cplx> x) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const cplx& v : x) {
+    for (const double part : {v.real(), v.imag()}) {
+      const auto bits = std::bit_cast<std::uint64_t>(part);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xffU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+// The bytes forward() writes, pinned per tree: static, ddl, fused, ragged
+// and Stockham trees, each run under every supported batched-kernel ISA and
+// at one and at four pool lanes, all of which must give the recorded bytes.
+// Any change to the executor's arithmetic — twiddle values, operation
+// order, kernel choice — shows here.
+TEST(ExecutorPin, ForwardOutputBytesAreRecorded) {
+  const struct {
+    const char* tree;
+    std::uint64_t hash;
+  } pins[] = {
+      {"ct(64,64)", 0xac3dbbc747433b66ULL},
+      {"ct(32,ctddl(8,16))", 0x57a3d50b7a55be29ULL},
+      {"ct(16,ct(16,ct(16,16)))", 0xba4a5e882b560426ULL},
+      {"ctddl(ct(8,8),ctddl(8,16))", 0x1f174e31dae24768ULL},
+      {"ctddl(ct(16,16),ct(16,16))", 0x425b9cd493b29c60ULL},
+      {"ctddlf(ctddlf(16,16),16)", 0x1ddee01a8f884405ULL},
+      {"ctddlf(ct(8,16),ct(16,16))", 0x302c1b10b3da6775ULL},
+      {"ctddlf(24,ct(9,5))", 0xe7d07ed76832e2c4ULL},
+      {"ct(st(64),st(256))", 0xe489d1b23593aab7ULL},
+      {"ctddlf(st(128),st(128))", 0xe2f7a71a14dd448aULL},
+      {"st(4096)", 0x19f31f26011c75d6ULL},
+  };
+  const codelets::Isa saved_isa = codelets::active_isa();
+  const int saved_threads = parallel::max_threads();
+  for (const auto isa : {codelets::Isa::scalar, codelets::Isa::sse2, codelets::Isa::avx2,
+                         codelets::Isa::neon}) {
+    if (!codelets::isa_supported(isa)) continue;
+    codelets::set_active_isa(isa);
+    for (const auto& p : pins) {
+      const auto tree = plan::parse_tree(p.tree);
+      for (const int threads : {1, 4}) {
+        parallel::set_threads(threads);
+        AlignedBuffer<cplx> x(tree->n);
+        fill_random(x.span(), 2024);
+        FftExecutor(*tree).forward(x.span());
+        EXPECT_EQ(output_hash(x.span()), p.hash)
+            << p.tree << " isa=" << codelets::isa_name(isa) << " threads=" << threads;
+      }
+    }
+  }
+  parallel::set_threads(saved_threads);
+  codelets::set_active_isa(saved_isa);
 }
 
 TEST(TreeExecutor, StockhamLeafLargeAgainstRadix2) {
@@ -316,32 +378,47 @@ TEST(Reference, ImpulseGivesFlatSpectrum) {
 // Twiddle cache
 // ---------------------------------------------------------------------------
 
-TEST(Twiddle, ValuesAreRootsOfUnity) {
+TEST(Twiddle, MatrixHoldsTableValuesInAccessOrder) {
+  // M(r,c)[a*c + b] is, bit for bit, what a length-rc table built with the
+  // same expression holds at index a*b.
   TwiddleCache cache;
-  const cplx* w = cache.ensure(16);
-  for (index_t k = 0; k < 16; ++k) {
-    const double ang = -2.0 * std::numbers::pi * static_cast<double>(k) / 16.0;
-    EXPECT_NEAR(w[k].real(), std::cos(ang), 1e-15);
-    EXPECT_NEAR(w[k].imag(), std::sin(ang), 1e-15);
+  const index_t r = 4;
+  const index_t c = 6;
+  const cplx* w = cache.ensure(r, c);
+  const double step = -2.0 * std::numbers::pi / static_cast<double>(r * c);
+  for (index_t a = 0; a < r; ++a) {
+    for (index_t b = 0; b < c; ++b) {
+      const double ang = step * static_cast<double>(a * b);
+      EXPECT_EQ(w[a * c + b], cplx(std::cos(ang), std::sin(ang))) << a << "," << b;
+      EXPECT_NEAR(std::abs(w[a * c + b]), 1.0, 1e-15);
+    }
   }
 }
 
-TEST(Twiddle, BuildForCoversCompositeSizesOnly) {
+TEST(Twiddle, BuildForKeepsOneMatrixPerSplitShape) {
   TwiddleCache cache;
   cache.build_for(*plan::parse_tree("ct(ct(4,4),ct(2,8))"));
-  EXPECT_EQ(cache.tables(), 2u);  // composite sizes 256 and 16 (shared by both splits)
-  EXPECT_NO_THROW((void)cache.get(256));
-  EXPECT_NO_THROW((void)cache.get(16));
-  EXPECT_THROW((void)cache.get(4), std::invalid_argument);
-  EXPECT_EQ(cache.total_elements(), 256 + 16);
+  EXPECT_EQ(cache.matrices(), 3u);  // 16x16, 4x4 and 2x8
+  EXPECT_NO_THROW((void)cache.get(16, 16));
+  EXPECT_NO_THROW((void)cache.get(4, 4));
+  EXPECT_NO_THROW((void)cache.get(2, 8));
+  EXPECT_THROW((void)cache.get(8, 2), std::invalid_argument);
+  EXPECT_EQ(cache.total_elements(), 256 + 16 + 16);
+
+  // A ddl split's column pass reads the transposed shape M(n2, n1).
+  TwiddleCache ddl;
+  ddl.build_for(*plan::parse_tree("ctddl(4,ctddlf(2,8))"));
+  EXPECT_EQ(ddl.matrices(), 2u);
+  EXPECT_NO_THROW((void)ddl.get(16, 4));
+  EXPECT_NO_THROW((void)ddl.get(8, 2));
 }
 
 TEST(Twiddle, EnsureIdempotent) {
   TwiddleCache cache;
-  const cplx* a = cache.ensure(64);
-  const cplx* b = cache.ensure(64);
+  const cplx* a = cache.ensure(8, 8);
+  const cplx* b = cache.ensure(8, 8);
   EXPECT_EQ(a, b);
-  EXPECT_EQ(cache.tables(), 1u);
+  EXPECT_EQ(cache.matrices(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -187,11 +187,11 @@ TEST(SimPin, OracleAndTracersReplayRecordedSequences) {
       {{"dft_leaf", 12, 40, 0}, 83.0625},
       {{"wht_leaf", 16, 1, 0}, 92},
       {{"wht_leaf", 8, 1024, 0}, 46},
-      {{"tw_rows", 1024, 32, 1}, 15693},
-      {{"tw_rows", 256, 16, 64}, 8775},
-      {{"tw_rows", 360, 24, 3}, 10656},
-      {{"tw_cols", 1024, 32, 0}, 15693},
-      {{"tw_cols", 360, 24, 0}, 5676},
+      {{"tw_rows", 1024, 32, 1}, 17763},
+      {{"tw_rows", 256, 16, 64}, 9225},
+      {{"tw_rows", 360, 24, 3}, 11046},
+      {{"tw_cols", 1024, 32, 0}, 17763},
+      {{"tw_cols", 360, 24, 0}, 6126},
       {{"perm", 1024, 32, 1}, 19456},
       {{"perm", 4096, 64, 4}, 169984},
       {{"perm", 1152, 48, 1}, 21888},
@@ -200,9 +200,9 @@ TEST(SimPin, OracleAndTracersReplayRecordedSequences) {
       {{"reorg", 24, 48, 1}, 21888},
       {{"reorg_g", 64, 64, 16}, 161822},
       {{"reorg_g", 24, 48, 1}, 19584},
-      {{"fused_tws", 32, 32, 1}, 23739},
-      {{"fused_tws", 64, 64, 8}, 191801},
-      {{"fused_tws", 24, 40, 3}, 37347},
+      {{"fused_tws", 32, 32, 1}, 25809},
+      {{"fused_tws", 64, 64, 8}, 196061},
+      {{"fused_tws", 24, 40, 3}, 38637},
       {{"stockham", 1024, 1, 0}, 40703},
       {{"stockham", 256, 64, 0}, 17855},
       {{"stockham", 2, 8, 0}, 137},
@@ -220,17 +220,17 @@ TEST(SimPin, OracleAndTracersReplayRecordedSequences) {
     cache::CacheStats stats;
   } tracer_pins[] = {
       {"ct(16,ct(16,ct(16,16)))", false,
-       {1851395, 1015810, 835585, 442912, 46620, 396292, 0, 434720}},
+       {1851395, 1015810, 835585, 545631, 49148, 496483, 0, 537439}},
       {"ctddl(ct(16,16),ct(16,16))", false,
-       {2113539, 1146882, 966657, 348505, 43522, 304983, 0, 340313}},
+       {2113539, 1146882, 966657, 361657, 49212, 312445, 0, 353465}},
       {"ctddlf(ct(16,16),ctddl(16,16))", false,
-       {2245633, 1212929, 1032704, 385478, 43522, 341956, 0, 377286}},
+       {2245633, 1212929, 1032704, 478740, 49212, 429528, 0, 470548}},
       {"ctddlf(st(256),st(256))", false,
-       {2817025, 1506305, 1310720, 456026, 43509, 412517, 0, 447834}},
+       {2817025, 1506305, 1310720, 448774, 49184, 399590, 0, 440582}},
       {"ct(st(64),st(1024))", false,
-       {2944771, 1569602, 1375169, 502087, 45745, 456342, 0, 493895}},
+       {2944771, 1569602, 1375169, 497269, 49032, 448237, 0, 489077}},
       {"ctddl(ct(12,20),ctddlf(24,ct(9,5)))", false,
-       {11059443, 5985122, 5074321, 919077, 179005, 740072, 0, 910885}},
+       {11059443, 5985122, 5074321, 801662, 194730, 606932, 0, 793470}},
       {"ctddl(ct(16,16),ct(16,16))", true,
        {786432, 393216, 393216, 38272, 16384, 21888, 0, 30080}},
       {"ct(ctddl(24,ct(12,4)),ctddl(8,8))", true,

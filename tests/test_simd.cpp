@@ -244,16 +244,29 @@ TEST(SimdKernels, WhtBatchMatchesScalarWithin2Ulp) {
   }
 }
 
+/// The twiddle matrix the fused kernel reads, M(n2,n1) of fft/twiddle.hpp:
+/// w[j*n1 + i] = W_n^{i*j}, n = n1*n2.
+std::vector<cplx> twiddle_matrix(index_t n1, index_t n2) {
+  const index_t n = n1 * n2;
+  std::vector<cplx> w(static_cast<std::size_t>(n));
+  for (index_t j = 0; j < n2; ++j) {
+    for (index_t i = 0; i < n1; ++i) {
+      const double ang =
+          -2.0 * std::acos(-1.0) * static_cast<double>(i * j) / static_cast<double>(n);
+      w[static_cast<std::size_t>(j * n1 + i)] = std::polar(1.0, ang);
+    }
+  }
+  return w;
+}
+
 // Fused twiddle+scatter: every SIMD backend must agree with the serial
 // scalar reference (layout::twiddle_scatter_ref) within 2 ULP across
-// geometries — square/rectangular matrices, strided combs, and shapes
-// whose twiddle-index walk wraps mod n inside a vector group.
+// geometries — square/rectangular matrices, strided combs, and column
+// heights that leave a scalar remainder after the vector groups.
 TEST(SimdKernels, TwiddleScatterMatchesScalarRefWithin2Ulp) {
   struct Geo {
     index_t n1, n2, stride;
   };
-  // 32x48 and 64x16 drive idx = (i*j) mod n through mid-group wraps; the
-  // odd shapes exercise the scalar remainder after the vector groups.
   const Geo geos[] = {{4, 4, 1},   {8, 5, 1},   {5, 7, 2},  {16, 64, 1},
                       {32, 32, 1}, {32, 48, 3}, {64, 16, 2}};
   std::uint64_t seed = 11;
@@ -262,12 +275,7 @@ TEST(SimdKernels, TwiddleScatterMatchesScalarRefWithin2Ulp) {
     ASSERT_NE(kernel, nullptr) << codelets::isa_name(isa);
     for (const Geo& g : geos) {
       const index_t n = g.n1 * g.n2;
-      std::vector<cplx> w(static_cast<std::size_t>(n));
-      for (index_t k = 0; k < n; ++k) {
-        const double ang = -2.0 * std::acos(-1.0) * static_cast<double>(k) /
-                           static_cast<double>(n);
-        w[static_cast<std::size_t>(k)] = std::polar(1.0, ang);
-      }
+      const std::vector<cplx> w = twiddle_matrix(g.n1, g.n2);
       AlignedBuffer<cplx> scratch(n);
       fill_random(scratch.span(), ++seed);
       const index_t span = (n - 1) * g.stride + 1;
@@ -294,12 +302,7 @@ TEST(SimdKernels, TwiddleScatterColumnRangesCompose) {
   const index_t n1 = 32;
   const index_t n2 = 24;
   const index_t n = n1 * n2;
-  std::vector<cplx> w(static_cast<std::size_t>(n));
-  for (index_t k = 0; k < n; ++k) {
-    const double ang =
-        -2.0 * std::acos(-1.0) * static_cast<double>(k) / static_cast<double>(n);
-    w[static_cast<std::size_t>(k)] = std::polar(1.0, ang);
-  }
+  const std::vector<cplx> w = twiddle_matrix(n1, n2);
   AlignedBuffer<cplx> scratch(n);
   fill_random(scratch.span(), 23);
   for (const auto isa : supported_isas()) {

@@ -172,17 +172,18 @@ TEST(VerifyMutation, StockhamLeafRules) {
   EXPECT_TRUE(verify_wht(*st).has(Rule::codelet_coverage));
 }
 
-TEST(VerifyMutation, ShrunkNodeSizeIsTwiddleBounds) {
-  // Factors larger than the node's n would drive the incremental mod-n
-  // twiddle index walk outside the length-n table.
+TEST(VerifyMutation, ShrunkNodeSizeIsSizeProduct) {
+  // A node whose n is smaller than its factors' product: the split would
+  // address past its own extent and read past the end of its n-element
+  // twiddle matrix.
   const auto tree = plan::parse_tree("ct(16,16)");
   tree->n = 8;
   const auto report = verify_fft(*tree);
-  ASSERT_TRUE(report.has(Rule::twiddle_bounds)) << report.to_string();
+  ASSERT_TRUE(report.has(Rule::size_product)) << report.to_string();
   for (const auto& d : report.diagnostics) {
-    if (d.rule != Rule::twiddle_bounds) continue;
-    EXPECT_EQ(d.expected, 8);
-    EXPECT_EQ(d.actual, 16);
+    if (d.rule != Rule::size_product) continue;
+    EXPECT_EQ(d.expected, 256);
+    EXPECT_EQ(d.actual, 8);
   }
 }
 
